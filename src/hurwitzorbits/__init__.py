@@ -16,14 +16,7 @@ from .presentations import (
     parse_word,
 )
 from .toddcoxeter import Capped, CayleyRealization, enumerate_cosets
-from .groups import (
-    DihedralGroup,
-    Group,
-    PermutationGroup,
-    QuaternionGroup,
-    RealizedGroup,
-    symmetric_group,
-)
+from .groups import Group, PermutationGroup, RealizedGroup, symmetric_group
 from .hurwitz import (
     AtLeast,
     Factorization,

@@ -6,12 +6,9 @@ deduplicate factorizations without caring which backend produced them.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .toddcoxeter import CayleyRealization
-
-_TABLE_LIMIT = 4096  # largest order for which conjugation tables are built
 
 
 class Group:
@@ -58,26 +55,14 @@ class Group:
             k += 1
         return k
 
-    def element_order_multiset(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.element_order(g) for g in self.elements()))
+    def conjugation_tables(self) -> Dict[Tuple[int, int], Tuple[int, int]]:
+        """This group's memo of conjugates: (a, b) -> (b^-1 a b, a b a^-1).
 
-    # Dense conjugation/inverse tables let the orbit BFS avoid method calls.
-    # Only available when keys are contiguous 0..order-1 and the order is
-    # small enough for an order^2 table.
-    def conjugation_tables(self) -> Optional[Tuple[List[List[int]], List[int]]]:
-        cached = getattr(self, "_conj_tables", None)
-        if cached is not None:
-            return cached
-        keys = list(self.elements())
-        if self.order > _TABLE_LIMIT or keys != list(range(self.order)):
-            return None
-        inv = [self.inverse(g) for g in keys]
-        conj = [
-            [self.multiply(self.multiply(inv[y], g), y) for y in keys]
-            for g in keys
-        ]
-        self._conj_tables = (conj, inv)
-        return self._conj_tables
+        It starts empty. Orbit searches fill it with the pairs of factors they
+        meet and share it, so repeated searches over one group make few group
+        calls, and no search computes a conjugate it does not need.
+        """
+        return self.__dict__.setdefault("_conj_tables", {})
 
 
 class RealizedGroup(Group):
@@ -219,95 +204,3 @@ def symmetric_group(n: int) -> PermutationGroup:
         for i in range(n - 1)
     ]
     return PermutationGroup(n, transpositions, name=f"S{n}")
-
-
-class DihedralGroup(Group):
-    """Direct dihedral backend of order 2n: elements r^k f^e, key 2k + e.
-
-    Exists as an independent oracle for the coset enumerator.
-    """
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("dihedral parameter must be >= 1")
-        self.n = n
-        self.name = f"D{2 * n}"
-
-    @property
-    def order(self) -> int:
-        return 2 * self.n
-
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def elements(self) -> Sequence[int]:
-        return range(2 * self.n)
-
-    def multiply(self, g: int, h: int) -> int:
-        k1, e1 = divmod(g, 2)
-        k2, e2 = divmod(h, 2)
-        k = (k1 + (k2 if e1 == 0 else -k2)) % self.n
-        return 2 * k + (e1 ^ e2)
-
-    def inverse(self, g: int) -> int:
-        k, e = divmod(g, 2)
-        return g if e else 2 * ((-k) % self.n)
-
-    def element_name(self, g: int) -> str:
-        k, e = divmod(g, 2)
-        rot = "1" if k == 0 else f"r^{k}" if k > 1 else "r"
-        return rot + (" f" if e else "") if (k or e) else "1"
-
-
-_QUAT_UNITS = [
-    (1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
-    (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1),
-]
-_QUAT_NAMES = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
-
-def _quat_mul(a, b):
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return (
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    )
-
-
-class QuaternionGroup(Group):
-    """Direct Q8 backend over the unit quaternions; an enumerator oracle."""
-
-    name = "Q8"
-
-    def __init__(self):
-        index = {q: i for i, q in enumerate(_QUAT_UNITS)}
-        self._table = [
-            [index[_quat_mul(a, b)] for b in _QUAT_UNITS] for a in _QUAT_UNITS
-        ]
-        self._inv = [
-            next(j for j in range(8) if self._table[i][j] == 0) for i in range(8)
-        ]
-
-    @property
-    def order(self) -> int:
-        return 8
-
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def elements(self) -> Sequence[int]:
-        return range(8)
-
-    def multiply(self, g: int, h: int) -> int:
-        return self._table[g][h]
-
-    def inverse(self, g: int) -> int:
-        return self._inv[g]
-
-    def element_name(self, g: int) -> str:
-        return _QUAT_NAMES[g]

@@ -5,6 +5,12 @@ The forward move at position i (1-based, 1 <= i <= len-1) sends
 the inverse move sends it to (..., x_i x_{i+1} x_i^-1, x_i, ...). Both
 preserve the left-to-right product, and orbits are breadth-first closures
 under all moves in both directions.
+
+Both moves rewrite one adjacent pair of factors by conjugation. The search
+computes each pair's images with ``conjugate`` the first time any search
+over the group meets that pair (see ``Group.conjugation_tables``), so there
+is one code path for every backend and group order, and its work is bounded
+by the orbit.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Literal, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, List, Literal, Optional, Sequence, Tuple, Union
 
 from .groups import Group
 
@@ -106,91 +112,118 @@ def apply_braid(f: Factorization, moves: Iterable[Tuple[int, Direction]]) -> Fac
     return f
 
 
+class _Widen(Exception):
+    """A search met more distinct factors than its digits can number."""
+
+
 def _explore(
     f: Factorization,
     node_cap: int,
     target: Optional[Tuple[int, ...]] = None,
 ):
-    """BFS closure under all moves. Returns (seen_set, capped, found_target).
+    """BFS closure under all moves. Returns (seen, capped, found_target, keys).
 
-    States are packed into single integers (fixed width per factor) so set
-    membership stays cheap on large orbits.
+    A state packs local indices into ``keys`` as fixed-width digits of one
+    integer, so set membership stays cheap on large orbits; ``_unpack_all``
+    turns states back into tuples. ``keys`` numbers the factors in the order
+    the search meets them, and the digits are as narrow as that count allows.
+    A move rewrites one adjacent pair of digits through a table that is
+    filled the first time the pair is met, from the group's memo of
+    conjugates (``Group.conjugation_tables``), so the work is bounded by the
+    orbit. A search that meets more factors than its digits hold starts again
+    with wider ones; that happens at most once per doubling of the count.
     """
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
+    keys = list(dict.fromkeys(f.factors + (target or ())))
+    while True:
+        try:
+            return _search(f, node_cap, target, keys)
+        except _Widen:
+            pass  # ``keys`` has grown, and the next search numbers all of it
+
+
+def _search(f: Factorization, node_cap: int, target: Optional[Tuple[int, ...]], keys: List[int]):
     group = f.group
-    length = len(f.factors)
-    bits = max(group.order.bit_length(), 1)
+    conj = group.conjugation_tables()
+    index = {x: k for k, x in enumerate(keys)}
+    bits = _width(keys)
     mask = (1 << bits) - 1
+
+    def local(x: int) -> int:
+        k = index.get(x)
+        if k is None:
+            k = index[x] = len(keys)
+            keys.append(x)
+            if k > mask:
+                raise _Widen
+        return k
+
+    def fill(p: int) -> Tuple[int, int]:
+        a, b = keys[p >> bits], keys[p & mask]
+        c = conj.get((a, b))
+        if c is None:
+            c = conj[(a, b)] = (group.conjugate(a, b), group.conjugate(b, group.inverse(a)))
+        return ((p & mask) << bits) | local(c[0]), (local(c[1]) << bits) | (p >> bits)
 
     def pack(t) -> int:
         out = 0
         for x in t:
-            out = (out << bits) | x
+            out = (out << bits) | index[x]
         return out
 
     start = pack(f.factors)
     target_packed = pack(target) if target is not None else None
     if target_packed == start:
-        return {start}, False, True
-    if length == 1:
-        return {start}, False, target_packed == start
+        return {start}, False, True, keys
 
-    tables = group.conjugation_tables()
-    if tables is not None:
-        conj, inv = tables
-    else:
-        conj_fn, inv_fn = group.conjugate, group.inverse
-
+    # packed pair -> (pair after a forward move, pair after an inverse move)
+    moves = {}
+    pair_mask = (1 << 2 * bits) - 1
+    shifts = [bits * i for i in range(len(f.factors) - 2, -1, -1)]
     seen = {start}
-    queue = deque([f.factors])
-    capped = False
+    queue = deque([start])
     while queue:
-        t = queue.popleft()
-        base = pack(t)
-        for i in range(length - 1):
-            a, b = t[i], t[i + 1]
-            shift = bits * (length - 2 - i)
-            if tables is not None:
-                fwd_pair = (b << bits) | conj[a][b]
-                bwd_pair = (conj[b][inv[a]] << bits) | a
-            else:
-                fwd_pair = (b << bits) | conj_fn(a, b)
-                bwd_pair = (conj_fn(b, inv_fn(a)) << bits) | a
-            cleared = base & ~(((mask << bits) | mask) << shift)
-            for pair in (fwd_pair, bwd_pair):
+        base = queue.popleft()
+        for shift in shifts:
+            p = (base >> shift) & pair_mask
+            cleared = base ^ (p << shift)
+            try:
+                pairs = moves[p]
+            except KeyError:
+                pairs = moves[p] = fill(p)
+            for pair in pairs:
                 state = cleared | (pair << shift)
                 if state not in seen:
                     if state == target_packed:
                         seen.add(state)
-                        return seen, False, True
+                        return seen, False, True, keys
                     if len(seen) >= node_cap:
-                        return seen, True, False
+                        return seen, True, False, keys
                     seen.add(state)
-                    nt = list(t)
-                    nt[i] = (pair >> bits) & mask
-                    nt[i + 1] = pair & mask
-                    queue.append(tuple(nt))
-    return seen, capped, False
+                    queue.append(state)
+    return seen, False, False, keys
 
 
-def _unpack_all(packed: Iterable[int], length: int, order: int):
-    bits = max(order.bit_length(), 1)
+def _width(keys: Sequence[int]) -> int:
+    return max((len(keys) - 1).bit_length(), 1)
+
+
+def _unpack_all(packed: Iterable[int], length: int, keys: Sequence[int]):
+    bits = _width(keys)
     mask = (1 << bits) - 1
     for state in packed:
-        yield tuple(
-            (state >> (bits * (length - 1 - k))) & mask for k in range(length)
-        )
+        yield tuple(keys[(state >> (bits * (length - 1 - k))) & mask] for k in range(length))
 
 
 def orbit(f: Factorization, node_cap: int = DEFAULT_NODE_CAP) -> Orbit:
-    seen, capped, _ = _explore(f, node_cap)
-    members = frozenset(_unpack_all(seen, len(f.factors), f.group.order))
+    seen, capped, _, keys = _explore(f, node_cap)
+    members = frozenset(_unpack_all(seen, len(f.factors), keys))
     return Orbit(base=f, members=members, capped=capped)
 
 
 def orbit_size(f: Factorization, node_cap: int = DEFAULT_NODE_CAP) -> OrbitSize:
-    seen, capped, _ = _explore(f, node_cap)
+    seen, capped, _, _ = _explore(f, node_cap)
     if capped:
         return AtLeast(node_cap)
     return Finite(len(seen))
@@ -203,7 +236,11 @@ def same_orbit(
         raise ValueError("factorizations live in different groups")
     if len(f1.factors) != len(f2.factors):
         raise ValueError("factorizations have different lengths")
-    _, capped, found = _explore(f1, node_cap, target=f2.factors)
+    if node_cap < 1:
+        raise ValueError("node_cap must be >= 1")
+    if product(f1) != product(f2):
+        return "no"  # moves preserve the product
+    _, capped, found, _ = _explore(f1, node_cap, target=f2.factors)
     if found:
         return "yes"
     return "unknown" if capped else "no"

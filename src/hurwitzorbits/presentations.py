@@ -323,26 +323,6 @@ def builtin(name: str, *params) -> Presentation:
 # --- reversibility ---------------------------------------------------------
 
 
-def reversible_by_shortcut(relator: Word) -> bool:
-    """Syntactic sufficient conditions for a relator's reverse lying in N.
-
-    Covers powers of a single generator, relators of the form u (u*)^-1,
-    and equations between two palindromes (relator u v^-1 with u, v
-    palindromes).
-    """
-    if len({idx for idx, _ in relator.letters}) <= 1:
-        return True
-    n = len(relator)
-    for k in range(n + 1):
-        u = Word(relator.alphabet, relator.letters[:k])
-        v = words.invert(Word(relator.alphabet, relator.letters[k:]))
-        if v == words.reverse(u):
-            return True
-        if words.is_palindrome(u) and words.is_palindrome(v):
-            return True
-    return False
-
-
 def check_reversible(p: Presentation, realization, explanation: bool = True) -> ReversibilityReport:
     """Decide the reversible-relations predicate via a finite realization.
 

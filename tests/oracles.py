@@ -7,9 +7,51 @@ interface, and the orbit oracle deliberately uses a different traversal
 
 from fractions import Fraction as F
 
-from hurwitzorbits.groups import PermutationGroup
+from hurwitzorbits.groups import Group, PermutationGroup
 
-# --- explicit dihedral permutation group -------------------------------------
+
+def element_order_multiset(group):
+    """Sorted orders of all elements: equal for isomorphic groups."""
+    return tuple(sorted(group.element_order(g) for g in group.elements()))
+
+
+# --- explicit dihedral groups ------------------------------------------------
+
+
+class DihedralGroup(Group):
+    """Direct dihedral backend of order 2n: elements r^k f^e, key 2k + e."""
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("dihedral parameter must be >= 1")
+        self.n = n
+        self.name = f"D{2 * n}"
+
+    @property
+    def order(self) -> int:
+        return 2 * self.n
+
+    @property
+    def identity(self) -> int:
+        return 0
+
+    def elements(self):
+        return range(2 * self.n)
+
+    def multiply(self, g: int, h: int) -> int:
+        k1, e1 = divmod(g, 2)
+        k2, e2 = divmod(h, 2)
+        k = (k1 + (k2 if e1 == 0 else -k2)) % self.n
+        return 2 * k + (e1 ^ e2)
+
+    def inverse(self, g: int) -> int:
+        k, e = divmod(g, 2)
+        return g if e else 2 * ((-k) % self.n)
+
+    def element_name(self, g: int) -> str:
+        k, e = divmod(g, 2)
+        rot = "1" if k == 0 else f"r^{k}" if k > 1 else "r"
+        return rot + (" f" if e else "") if (k or e) else "1"
 
 
 def dihedral_permutation_group(n: int) -> PermutationGroup:
@@ -21,6 +63,61 @@ def dihedral_permutation_group(n: int) -> PermutationGroup:
     rotation = tuple(list(range(1, n)) + [0])
     reflection = tuple((n - i) % n for i in range(n))
     return PermutationGroup(n, [rotation, reflection], name=f"D{2 * n}")
+
+
+# --- unit quaternions ----------------------------------------------------------
+
+_QUAT_UNITS = [
+    (1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
+    (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1),
+]
+_QUAT_NAMES = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+
+
+def _quat_mul(a, b):
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+class QuaternionGroup(Group):
+    """Direct Q8 backend over the unit quaternions."""
+
+    name = "Q8"
+
+    def __init__(self):
+        index = {q: i for i, q in enumerate(_QUAT_UNITS)}
+        self._table = [
+            [index[_quat_mul(a, b)] for b in _QUAT_UNITS] for a in _QUAT_UNITS
+        ]
+        self._inv = [
+            next(j for j in range(8) if self._table[i][j] == 0) for i in range(8)
+        ]
+
+    @property
+    def order(self) -> int:
+        return 8
+
+    @property
+    def identity(self) -> int:
+        return 0
+
+    def elements(self):
+        return range(8)
+
+    def multiply(self, g: int, h: int) -> int:
+        return self._table[g][h]
+
+    def inverse(self, g: int) -> int:
+        return self._inv[g]
+
+    def element_name(self, g: int) -> str:
+        return _QUAT_NAMES[g]
 
 
 # --- exact cyclotomic matrix closure ------------------------------------------

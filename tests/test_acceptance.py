@@ -11,6 +11,7 @@ from oracles import (
     G4_MATRIX_GENERATORS,
     G6_MATRIX_GENERATORS,
     dihedral_permutation_group,
+    element_order_multiset,
     matrix_closure_order,
     transposition_pair_orbits,
 )
@@ -135,7 +136,7 @@ def test_acceptance_6_enumerator_vs_oracles(q8_ab_group, q8_ijk_group):
             detail.append(f"dihedral({n}): {order} vs oracle {oracle}")
     expected = (1, 2, 4, 4, 4, 4, 4, 4)
     for name, group in (("q8-ab", q8_ab_group), ("q8-ijk", q8_ijk_group)):
-        if group.order != 8 or group.element_order_multiset() != expected:
+        if group.order != 8 or element_order_multiset(group) != expected:
             ok = False
             detail.append(f"{name} wrong order structure")
     g4_order = enumerate_cosets(P.g4()).order

@@ -105,6 +105,15 @@ def test_orbit_symmetric_cycles(capsys):
     assert code == EXIT_OK and out.strip() == "3"
 
 
+@pytest.mark.parametrize("n, size", [(3, 3), (4, 16), (5, 125), (6, 1296), (7, 16807)])
+def test_orbit_denes_count(capsys, n, size):
+    # Denes: an n-cycle has n^(n-2) factorizations into n-1 transpositions,
+    # and the Hurwitz action is transitive on them; S7 has order 5040
+    cycles = " ".join(f"({i} {i + 1})" for i in range(1, n))
+    code, out, _ = run(capsys, "orbit", "--builtin", f"s{n}", cycles)
+    assert code == EXIT_OK and out.strip() == str(size)
+
+
 def test_orbit_juxtaposed_cycles_are_one_factor(capsys):
     code, out, _ = run(capsys, "orbit", "--builtin", "s4", "(1 2)(3 4) (1 3)(2 4)")
     assert code == EXIT_OK

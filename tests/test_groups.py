@@ -1,18 +1,24 @@
 import math
+import random
 
 import pytest
 
-from oracles import dihedral_permutation_group
+from oracles import (
+    DihedralGroup,
+    QuaternionGroup,
+    dihedral_permutation_group,
+    element_order_multiset,
+    orbit_dfs,
+)
 
 from hurwitzorbits import presentations as P
 from hurwitzorbits.groups import (
-    DihedralGroup,
     PermutationGroup,
-    QuaternionGroup,
     RealizedGroup,
     cycle_notation,
     symmetric_group,
 )
+from hurwitzorbits.hurwitz import Factorization, Finite, orbit_size
 from hurwitzorbits.toddcoxeter import enumerate_cosets
 
 
@@ -84,7 +90,7 @@ def test_direct_dihedral_matches_enumerator(n):
     direct = DihedralGroup(n)
     realized = RealizedGroup(enumerate_cosets(P.dihedral_rs(n)))
     assert direct.order == realized.order == 2 * n
-    assert direct.element_order_multiset() == realized.element_order_multiset()
+    assert element_order_multiset(direct) == element_order_multiset(realized)
 
 
 @pytest.mark.parametrize("n", (3, 5, 8))
@@ -92,7 +98,7 @@ def test_direct_dihedral_matches_permutation_oracle(n):
     direct = DihedralGroup(n)
     oracle = dihedral_permutation_group(n)
     assert direct.order == oracle.order
-    assert direct.element_order_multiset() == oracle.element_order_multiset()
+    assert element_order_multiset(direct) == element_order_multiset(oracle)
 
 
 def test_dihedral_group_axioms():
@@ -112,7 +118,7 @@ def test_dihedral_group_axioms():
 def test_quaternion_group():
     q = QuaternionGroup()
     assert q.order == 8
-    assert q.element_order_multiset() == (1, 2, 4, 4, 4, 4, 4, 4)
+    assert element_order_multiset(q) == (1, 2, 4, 4, 4, 4, 4, 4)
     names = {q.element_name(g): g for g in q.elements()}
     assert q.multiply(names["i"], names["j"]) == names["k"]
     assert q.multiply(names["j"], names["i"]) == names["-k"]
@@ -121,20 +127,65 @@ def test_quaternion_group():
 
 def test_quaternion_matches_presentations(q8_ab_group, q8_ijk_group):
     direct = QuaternionGroup()
-    assert direct.element_order_multiset() == q8_ab_group.element_order_multiset()
-    assert direct.element_order_multiset() == q8_ijk_group.element_order_multiset()
+    assert element_order_multiset(direct) == element_order_multiset(q8_ab_group)
+    assert element_order_multiset(direct) == element_order_multiset(q8_ijk_group)
 
 
-def test_conjugation_tables_match_methods(s3):
-    conj, inv = s3.conjugation_tables()
-    for g in s3.elements():
-        assert inv[g] == s3.inverse(g)
-        for y in s3.elements():
-            assert conj[g][y] == s3.conjugate(g, y)
+def assert_tables_sound(group):
+    """Every memo entry agrees with ``conjugate()``, and an inverse move undoes the forward one."""
+    conj = group.conjugation_tables()
+    assert conj
+    for (a, b), (c, d) in conj.items():
+        assert c == group.conjugate(a, b)
+        assert d == group.conjugate(b, group.inverse(a))
+        # (a, b) -> (b, c) by a forward move, and back by an inverse one
+        assert group.conjugate(c, group.inverse(b)) == a
+    # the factors the searches met
+    return {x for pair in conj for x in pair}
 
 
-def test_conjugation_tables_unavailable_when_large():
-    assert symmetric_group(8).conjugation_tables() is None
+@pytest.mark.parametrize("name", ["s3", "s4", "g4_group"])
+def test_conjugation_tables_on_random_seeds(name, request):
+    group = request.getfixturevalue(name)
+    rng = random.Random(11)
+    els = list(group.elements())
+    for _ in range(20):
+        orbit_size(Factorization(group, tuple(rng.choices(els, k=rng.randint(2, 4)))))
+        assert_tables_sound(group)
+
+
+def test_conjugation_tables_above_order_4096():
+    s7 = symmetric_group(7)
+    transpositions = set()
+    for i in range(7):
+        for j in range(i + 1, 7):
+            perm = list(range(7))
+            perm[i], perm[j] = j, i
+            transpositions.add(s7.key_of(tuple(perm)))
+    adjacent = [s7.key_of(tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, 7))) for i in range(6)]
+    assert orbit_size(Factorization(s7, tuple(adjacent))) == Finite(16807)
+    # the adjacent transpositions close up to all 21 under conjugation
+    assert assert_tables_sound(s7) == transpositions
+
+
+@pytest.mark.parametrize("n, size", [(7, 12), (8, 14)])
+def test_small_orbit_over_a_large_closure(n, size):
+    # an n-cycle and (1 2) close to thousands of elements under conjugation,
+    # but their orbit is small: the memo gains at most one entry per state and position
+    s = symmetric_group(n)
+    f = Factorization(s, (s.key_of(tuple(range(1, n)) + (0,)), s.key_of((1, 0) + tuple(range(2, n)))))
+    members, capped = orbit_dfs(s, f.factors)
+    assert not capped and len(members) == size
+    assert orbit_size(f) == Finite(size)
+    assert len(s.conjugation_tables()) <= size
+    assert_tables_sound(s)
+
+
+def test_conjugation_tables_start_empty():
+    s3 = symmetric_group(3)
+    conj = s3.conjugation_tables()
+    assert conj == {}
+    assert s3.conjugation_tables() is conj
 
 
 def test_realized_group_names(d12_group):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import orbit_dfs, transposition_pair_orbits
+from oracles import dihedral_permutation_group, orbit_dfs, transposition_pair_orbits
 
 from hurwitzorbits.hurwitz import (
     FORWARD,
@@ -126,6 +126,18 @@ def test_node_cap(s4):
     assert o.capped and o.size == 3
 
 
+def test_orbit_in_a_subgroup_with_sparse_keys():
+    # D10 inside S5: ten elements, but Lehmer-rank keys up to 119
+    d10 = dihedral_permutation_group(5)
+    assert d10.order == 10 and max(d10.elements()) == 119
+    reflections = sorted(x for x in d10.elements() if x != d10.identity and d10.multiply(x, x) == d10.identity)
+    f = fz(d10, reflections[0], reflections[1], reflections[2], reflections[0])
+    members, capped = orbit_dfs(d10, f.factors)
+    o = orbit(f)
+    assert not capped and not o.capped
+    assert o.members == members and o.size == 125
+
+
 def test_node_cap_validation(s3):
     with pytest.raises(ValueError):
         orbit_size(fz(s3, 0, 0), node_cap=0)
@@ -149,8 +161,21 @@ def test_same_orbit_unknown_when_capped(s4):
     t = s4.key_of((1, 0, 2, 3))
     u = s4.key_of((0, 2, 1, 3))
     f = fz(s4, t, u, t)
-    unreachable = fz(s4, s4.identity, s4.identity, s4.identity)
-    assert same_orbit(f, unreachable, node_cap=2) == "unknown"
+    # in the orbit, but not among the first two states the search reaches
+    far = apply_braid(f, [(2, FORWARD), (1, INVERSE), (2, FORWARD)])
+    assert same_orbit(f, far) == "yes"
+    assert same_orbit(f, far, node_cap=2) == "unknown"
+    # moves preserve the product, so a different product is a sure "no"
+    other_product = fz(s4, s4.identity, s4.identity, s4.identity)
+    assert same_orbit(f, other_product, node_cap=2) == "no"
+
+
+def test_same_orbit_no_with_equal_products(s4):
+    t12 = s4.key_of((1, 0, 2, 3))
+    c123 = s4.key_of((1, 2, 0, 3))
+    c132 = s4.key_of((2, 0, 1, 3))
+    # equal products, but 3-cycles never arise from conjugating (1 2) by itself
+    assert same_orbit(fz(s4, t12, t12), fz(s4, c123, c132)) == "no"
 
 
 def test_same_orbit_argument_validation(s3, s4):
@@ -158,6 +183,8 @@ def test_same_orbit_argument_validation(s3, s4):
         same_orbit(fz(s3, 0, 0), fz(s4, 0, 0))
     with pytest.raises(ValueError):
         same_orbit(fz(s3, 0, 0), fz(s3, 0, 0, 0))
+    with pytest.raises(ValueError):
+        same_orbit(fz(s3, 0, 0), fz(s3, 0, 1), node_cap=0)
 
 
 def test_brute_force_s3_pair_orbits(s3):

@@ -11,7 +11,6 @@ from hurwitzorbits.presentations import (
     parse_presentation,
     parse_word,
     render_presentation,
-    reversible_by_shortcut,
 )
 from hurwitzorbits.toddcoxeter import Capped, enumerate_cosets
 from hurwitzorbits.words import Word
@@ -174,6 +173,26 @@ def test_unknown_when_capped():
     report = check_reversible(pres, Capped(coset_cap=3))
     assert report.status is Reversibility.UNKNOWN
     assert report.cap_hit
+
+
+def reversible_by_shortcut(relator: Word) -> bool:
+    """Syntactic sufficient conditions for a relator's reverse lying in N.
+
+    Covers powers of a single generator, relators of the form u (u*)^-1,
+    and equations between two palindromes (relator u v^-1 with u, v
+    palindromes).
+    """
+    if len({idx for idx, _ in relator.letters}) <= 1:
+        return True
+    n = len(relator)
+    for k in range(n + 1):
+        u = Word(relator.alphabet, relator.letters[:k])
+        v = words.invert(Word(relator.alphabet, relator.letters[k:]))
+        if v == words.reverse(u):
+            return True
+        if words.is_palindrome(u) and words.is_palindrome(v):
+            return True
+    return False
 
 
 def test_shortcut_agrees_with_full_check():
