@@ -24,7 +24,6 @@ from .hurwitz import (
     Orbit,
     apply_braid,
     export_orbit_graph,
-    factorization,
     hurwitz_move,
     orbit,
     orbit_size,

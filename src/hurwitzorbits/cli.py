@@ -219,21 +219,26 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.theorem == "double-reverse" and args.builtin:
-        pres = _load_presentation(args)
-        group = _realize(pres, args.coset_cap)
-        report = check_reversible(pres, group.realization)
-        if report.status is not Reversibility.REVERSIBLE:
-            print(
-                f"refused: presentation is not reversible "
-                f"({report.status.value})"
-            )
-            return EXIT_USAGE
+    groups = None
+    if args.builtin or args.file or args.presentation:
+        group, pres = _load_group(args)
+        if args.theorem in equalities.WORD_SUITES and pres is None:
+            raise CliError(f"{args.theorem} samples words, and {args.builtin} has no presentation")
+        if args.theorem == "double-reverse":
+            report = check_reversible(pres, group.realization)
+            if report.status is not Reversibility.REVERSIBLE:
+                print(
+                    f"refused: presentation is not reversible "
+                    f"({report.status.value})"
+                )
+                return EXIT_USAGE
+        groups = {group.name: group}
     result = equalities.run_check(
         args.theorem,
         samples=args.samples,
         seed=args.seed,
         node_cap=args.node_cap,
+        groups=groups,
         exponent_range=args.range,
     )
     if args.format == "json":
@@ -328,47 +333,49 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hurwitz",
         description="Hurwitz orbit sizes in finitely presented groups",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--node-cap", type=int, default=hurwitz.DEFAULT_NODE_CAP)
-    common.add_argument("--coset-cap", type=int, default=1_000_000)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--strict", action="store_true")
+    coset_cap = argparse.ArgumentParser(add_help=False)
+    coset_cap.add_argument("--coset-cap", type=int, default=1_000_000)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--node-cap", type=int, default=hurwitz.DEFAULT_NODE_CAP)
+    search.add_argument("--strict", action="store_true")
 
-    source = argparse.ArgumentParser(add_help=False)
+    source = argparse.ArgumentParser(add_help=False, parents=[coset_cap])
     source.add_argument("--builtin", help="dihedral-rs, dihedral-inv, q8-ab, q8-ijk, g4, g6, s1..s8")
     source.add_argument("--n", type=int, help="parameter for dihedral builtins")
     source.add_argument("--file", help="read the presentation from a file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("realize", parents=[common, source])
+    p = sub.add_parser("realize", parents=[fmt, source])
     p.add_argument("presentation", nargs="?")
     p.set_defaults(func=cmd_realize)
 
-    p = sub.add_parser("orbit", parents=[common, source])
+    p = sub.add_parser("orbit", parents=[fmt, search, source])
     p.add_argument("--presentation")
     p.add_argument("--graph", choices=("dot", "json"))
     p.add_argument("--self-loops", action="store_true")
     p.add_argument("factors", help="factor words (or permutation cycles for sN)")
     p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("check", parents=[common, source])
+    p = sub.add_parser("check", parents=[fmt, search, source])
     p.add_argument("theorem", choices=equalities.THEOREM_NAMES)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--range", type=int, default=20, help="closed-form exponent range")
-    p.add_argument("presentation", nargs="?")
+    p.add_argument("presentation", nargs="?", help="check this group alone (or --builtin, --file)")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("scan-g6", parents=[common])
+    p = sub.add_parser("scan-g6", parents=[coset_cap, search])
     p.add_argument("--max-len", type=int, default=3)
     p.set_defaults(func=cmd_scan_g6)
 
-    p = sub.add_parser("reversible", parents=[common, source])
+    p = sub.add_parser("reversible", parents=[fmt, source])
     p.add_argument("presentation", nargs="?")
     p.set_defaults(func=cmd_reversible)
 
-    p = sub.add_parser("double-reverse", parents=[common, source])
+    p = sub.add_parser("double-reverse", parents=[fmt, search, source])
     p.add_argument("--presentation")
     p.add_argument("factors")
     p.set_defaults(func=cmd_double_reverse)

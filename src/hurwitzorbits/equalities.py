@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import words
-from .groups import Group, RealizedGroup
+from . import presentations, words
+from .groups import Group, RealizedGroup, symmetric_group
 from .hurwitz import (
     DEFAULT_NODE_CAP,
     FORWARD,
@@ -27,6 +27,7 @@ from .hurwitz import (
     orbit_size,
 )
 from .presentations import Presentation, Reversibility, check_reversible
+from .toddcoxeter import enumerate_cosets
 from .words import Word
 
 WordTuple = Tuple[Word, ...]
@@ -356,12 +357,12 @@ THEOREM_NAMES = (
 )
 
 
-def default_check_groups() -> Dict[str, Group]:
-    """The five groups the sampled suites run over."""
-    from . import presentations
-    from .groups import symmetric_group
-    from .toddcoxeter import enumerate_cosets
+# suites that sample words over a presentation, not elements of a group
+WORD_SUITES = ("double-reverse", "mirror-moves")
 
+
+def default_check_groups() -> Dict[str, Group]:
+    """The five groups the sampled group suites run over."""
     named = {"S4": symmetric_group(4)}
     for name, pres in (
         ("D12", presentations.dihedral_rs(6)),
@@ -411,12 +412,17 @@ def run_check(
     exponent_range: int = 20,
     lengths: Tuple[int, ...] = (2, 3, 4),
 ) -> CheckResult:
-    """Run one named property suite on sampled inputs; see THEOREM_NAMES."""
+    """Run one named property suite on sampled inputs; see THEOREM_NAMES.
+
+    ``groups`` replaces the default groups. The word suites (WORD_SUITES)
+    sample words over each group's presentation, so they need realized
+    groups.
+    """
     if name not in THEOREM_NAMES:
         raise ValueError(f"unknown theorem {name!r}; known: {THEOREM_NAMES}")
     rng = random.Random(seed)
-    if name in ("double-reverse", "mirror-moves"):
-        return _run_word_tuple_check(name, samples, rng, node_cap)
+    if name in WORD_SUITES:
+        return _run_word_tuple_check(name, samples, rng, node_cap, groups)
     if groups is None:
         groups = default_check_groups()
     result = CheckResult(name=name, samples=samples * len(groups))
@@ -452,8 +458,15 @@ def run_check(
                 _compare(result, group_name, f, reverse_tuple(f), node_cap)
             elif name == "closed-form":
                 x, y = rng.choice(els), rng.choice(els)
+                # sigma^m(x, y) by iteration: one forward and one backward walk
+                iterated = {0: (x, y)}
+                for direction, step in ((FORWARD, 1), (INVERSE, -1)):
+                    f = Factorization(group, (x, y))
+                    for k in range(1, exponent_range + 1):
+                        f = hurwitz_move(f, 1, direction)
+                        iterated[step * k] = f.factors
                 for m in range(-exponent_range, exponent_range + 1):
-                    expected = _iterate_pair_moves(group, x, y, m)
+                    expected = iterated[m]
                     got = closed_form_pair(group, x, y, m)
                     if got != expected:
                         result.failures.append(
@@ -463,30 +476,20 @@ def run_check(
     return result
 
 
-def _iterate_pair_moves(group: Group, x: int, y: int, m: int) -> Tuple[int, int]:
-    f = Factorization(group, (x, y))
-    direction = FORWARD if m >= 0 else INVERSE
-    for _ in range(abs(m)):
-        f = hurwitz_move(f, 1, direction)
-    return f.factors  # type: ignore[return-value]
-
-
 def _run_word_tuple_check(
-    name: str, samples: int, rng: random.Random, node_cap: int
+    name: str, samples: int, rng: random.Random, node_cap: int, groups: Optional[Dict[str, Group]]
 ) -> CheckResult:
-    from . import presentations
-    from .toddcoxeter import enumerate_cosets
-
-    targets = []
-    for pres_name, pres in (
-        ("D10", presentations.dihedral_rs(5)),
-        ("G6", presentations.g6()),
-    ):
-        targets.append((pres_name, pres, RealizedGroup(enumerate_cosets(pres), name=pres_name)))
+    if groups is None:
+        groups = {
+            pres_name: RealizedGroup(enumerate_cosets(pres), name=pres_name)
+            for pres_name, pres in (("D10", presentations.dihedral_rs(5)), ("G6", presentations.g6()))
+        }
+    targets = sorted(groups.items())
 
     result = CheckResult(name=name, samples=samples)
     for _ in range(samples):
-        pres_name, pres, group = rng.choice(targets)
+        pres_name, group = rng.choice(targets)
+        pres = group.realization.origin
         length = rng.randint(2, 3)
         t = tuple(
             _random_word(rng, pres.generators, 3) for _ in range(length)

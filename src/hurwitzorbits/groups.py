@@ -1,7 +1,9 @@
 """A uniform finite-group interface over multiple backends.
 
-Elements are canonical small-integer keys, so orbit machinery can hash and
-deduplicate factorizations without caring which backend produced them.
+Elements are the integer keys 0..order-1, so orbit machinery can hash and
+deduplicate factorizations without caring which backend produced them. This module is the only place that does element
+arithmetic: every Hurwitz move reads its pair's images from
+``Group.move_images``, which memoizes them per group.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from .toddcoxeter import CayleyRealization
 
 
 class Group:
-    """Finite group with elements keyed by small integers."""
+    """Finite group whose elements are keyed 0..order-1."""
 
     name = "group"
 
@@ -25,7 +27,7 @@ class Group:
         raise NotImplementedError
 
     def elements(self) -> Sequence[int]:
-        raise NotImplementedError
+        return range(self.order)
 
     def multiply(self, g: int, h: int) -> int:
         raise NotImplementedError
@@ -56,13 +58,26 @@ class Group:
         return k
 
     def conjugation_tables(self) -> Dict[Tuple[int, int], Tuple[int, int]]:
-        """This group's memo of conjugates: (a, b) -> (b^-1 a b, a b a^-1).
+        """This group's memo of move images: (a, b) -> (b^-1 a b, a b a^-1).
 
-        It starts empty. Orbit searches fill it with the pairs of factors they
-        meet and share it, so repeated searches over one group make few group
-        calls, and no search computes a conjugate it does not need.
+        It starts empty. ``move_images`` fills it with the pairs of factors
+        that searches and moves meet, and every search over the group shares
+        it, so no conjugate is computed twice or computed when unneeded.
         """
-        return self.__dict__.setdefault("_conj_tables", {})
+        return self.__dict__.setdefault("_moves", {})
+
+    def move_images(self, a: int, b: int) -> Tuple[int, int]:
+        """(b^-1 a b, a b a^-1), memoized in ``conjugation_tables()``.
+
+        A forward Hurwitz move sends the pair (a, b) to (b, b^-1 a b), and an
+        inverse move sends it to (a b a^-1, a).
+        """
+        try:
+            return self._moves[a, b]
+        except (AttributeError, KeyError):
+            images = (self.conjugate(a, b), self.conjugate(b, self.inverse(a)))
+            self.conjugation_tables()[a, b] = images
+            return images
 
 
 class RealizedGroup(Group):
@@ -80,9 +95,6 @@ class RealizedGroup(Group):
     def identity(self) -> int:
         return self.realization.identity_id
 
-    def elements(self) -> Sequence[int]:
-        return range(self.realization.order)
-
     def multiply(self, g: int, h: int) -> int:
         return self.realization.multiply(g, h)
 
@@ -96,18 +108,9 @@ class RealizedGroup(Group):
         return self.realization.evaluate_word(w)
 
 
-def _lehmer_rank(perm: Tuple[int, ...]) -> int:
-    n = len(perm)
-    rank = 0
-    for i in range(n):
-        smaller = sum(1 for j in range(i + 1, n) if perm[j] < perm[i])
-        rank = rank * (n - i) + smaller
-    return rank
-
-
 def _compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
     """Apply p, then q (left-to-right product)."""
-    return tuple(q[p[x]] for x in range(len(p)))
+    return tuple(map(q.__getitem__, p))
 
 
 def _invert_perm(p: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -137,7 +140,12 @@ def cycle_notation(perm: Tuple[int, ...]) -> str:
 
 
 class PermutationGroup(Group):
-    """Permutations of {1..n}; keys are Lehmer-code ranks."""
+    """Permutations of {1..n}, closed from the generators.
+
+    A key is the permutation's position in the sorted list of the group's
+    elements, so the keys are 0..order-1, the identity is 0, and in S_n a
+    key is the Lehmer rank of its permutation.
+    """
 
     def __init__(self, degree: int, generators: Sequence[Tuple[int, ...]], name: str = "perm-group"):
         self.degree = degree
@@ -157,44 +165,40 @@ class PermutationGroup(Group):
                         elements.add(q)
                         new.append(q)
             frontier = new
-        self._by_key: Dict[int, Tuple[int, ...]] = {
-            _lehmer_rank(p): p for p in elements
-        }
-        self._keys = sorted(self._by_key)
-        self.generator_keys = tuple(_lehmer_rank(g) for g in generators)
+        self._perms = sorted(elements)
+        self._keys = {p: k for k, p in enumerate(self._perms)}
+        self.generator_keys = tuple(self._keys[tuple(g)] for g in generators)
 
     @property
     def order(self) -> int:
-        return len(self._keys)
+        return len(self._perms)
 
     @property
     def identity(self) -> int:
-        return 0  # the identity permutation has Lehmer rank 0
-
-    def elements(self) -> Sequence[int]:
-        return self._keys
+        return 0  # the identity sorts first
 
     def permutation(self, key: int) -> Tuple[int, ...]:
-        return self._by_key[key]
+        return self._perms[key]
 
     def key_of(self, perm: Tuple[int, ...]) -> int:
-        key = _lehmer_rank(tuple(perm))
-        if key not in self._by_key:
-            raise ValueError(f"{perm} is not an element of {self.name}")
-        return key
+        try:
+            return self._keys[tuple(perm)]
+        except KeyError:
+            raise ValueError(f"{perm} is not an element of {self.name}") from None
 
     def multiply(self, g: int, h: int) -> int:
-        return _lehmer_rank(_compose(self._by_key[g], self._by_key[h]))
+        return self._keys[_compose(self._perms[g], self._perms[h])]
 
     def inverse(self, g: int) -> int:
-        return _lehmer_rank(_invert_perm(self._by_key[g]))
+        return self._keys[_invert_perm(self._perms[g])]
 
     def element_name(self, g: int) -> str:
-        return cycle_notation(self._by_key[g])
+        return cycle_notation(self._perms[g])
 
 
 def symmetric_group(n: int) -> PermutationGroup:
-    """Full S_n for 1 <= n <= 8 (keys are Lehmer ranks, dense 0..n!-1)."""
+    """Full S_n for 1 <= n <= 8; a key is the permutation's index in
+    ``itertools.permutations(range(n))``, its Lehmer rank."""
     if not 1 <= n <= 8:
         raise ValueError("symmetric_group supports 1 <= n <= 8")
     if n == 1:

@@ -6,11 +6,11 @@ the inverse move sends it to (..., x_i x_{i+1} x_i^-1, x_i, ...). Both
 preserve the left-to-right product, and orbits are breadth-first closures
 under all moves in both directions.
 
-Both moves rewrite one adjacent pair of factors by conjugation. The search
-computes each pair's images with ``conjugate`` the first time any search
-over the group meets that pair (see ``Group.conjugation_tables``), so there
-is one code path for every backend and group order, and its work is bounded
-by the orbit.
+Both moves rewrite one adjacent pair of factors by conjugation. Every move
+here, in the orbit search, in ``hurwitz_move`` and in the graph export,
+reads the pair's images from ``Group.move_images``, the group's memo, so
+there is one code path for every backend and group order, and the work of a
+search is bounded by the orbit.
 """
 
 from __future__ import annotations
@@ -73,10 +73,6 @@ class AtLeast:
 OrbitSize = Union[Finite, AtLeast]
 
 
-def factorization(group: Group, factors: Sequence[int]) -> Factorization:
-    return Factorization(group, tuple(factors))
-
-
 def product(f: Factorization) -> int:
     g = f.group
     out = g.identity
@@ -85,25 +81,16 @@ def product(f: Factorization) -> int:
     return out
 
 
-def _check_position(f: Factorization, i: int):
-    if not 1 <= i <= len(f.factors) - 1:
-        raise ValueError(
-            f"move position {i} out of range 1..{len(f.factors) - 1}"
-        )
-
-
 def hurwitz_move(f: Factorization, i: int, direction: Direction = FORWARD) -> Factorization:
-    _check_position(f, i)
-    g = f.group
     t = f.factors
-    a, b = t[i - 1], t[i]
-    if direction == FORWARD:
-        pair = (b, g.conjugate(a, b))
-    elif direction == INVERSE:
-        pair = (g.conjugate(b, g.inverse(a)), a)
-    else:
+    if not 1 <= i <= len(t) - 1:
+        raise ValueError(f"move position {i} out of range 1..{len(t) - 1}")
+    if direction not in (FORWARD, INVERSE):
         raise ValueError(f"direction must be {FORWARD!r} or {INVERSE!r}")
-    return Factorization(g, t[: i - 1] + pair + t[i + 1 :])
+    a, b = t[i - 1], t[i]
+    c, d = f.group.move_images(a, b)
+    pair = (b, c) if direction == FORWARD else (d, a)
+    return Factorization(f.group, t[: i - 1] + pair + t[i + 1 :])
 
 
 def apply_braid(f: Factorization, moves: Iterable[Tuple[int, Direction]]) -> Factorization:
@@ -128,10 +115,10 @@ def _explore(
     turns states back into tuples. ``keys`` numbers the factors in the order
     the search meets them, and the digits are as narrow as that count allows.
     A move rewrites one adjacent pair of digits through a table that is
-    filled the first time the pair is met, from the group's memo of
-    conjugates (``Group.conjugation_tables``), so the work is bounded by the
-    orbit. A search that meets more factors than its digits hold starts again
-    with wider ones; that happens at most once per doubling of the count.
+    filled the first time the pair is met, from ``Group.move_images``, so
+    the work is bounded by the orbit. A search that meets more factors than
+    its digits hold starts again with wider ones; that happens at most once
+    per doubling of the count.
     """
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
@@ -144,8 +131,7 @@ def _explore(
 
 
 def _search(f: Factorization, node_cap: int, target: Optional[Tuple[int, ...]], keys: List[int]):
-    group = f.group
-    conj = group.conjugation_tables()
+    move_images = f.group.move_images
     index = {x: k for k, x in enumerate(keys)}
     bits = _width(keys)
     mask = (1 << bits) - 1
@@ -160,10 +146,7 @@ def _search(f: Factorization, node_cap: int, target: Optional[Tuple[int, ...]], 
         return k
 
     def fill(p: int) -> Tuple[int, int]:
-        a, b = keys[p >> bits], keys[p & mask]
-        c = conj.get((a, b))
-        if c is None:
-            c = conj[(a, b)] = (group.conjugate(a, b), group.conjugate(b, group.inverse(a)))
+        c = move_images(keys[p >> bits], keys[p & mask])
         return ((p & mask) << bits) | local(c[0]), (local(c[1]) << bits) | (p >> bits)
 
     def pack(t) -> int:
@@ -260,18 +243,20 @@ def export_orbit_graph(
     length = len(o.base.factors)
     vertices = sorted(o.members)
     index = {t: k for k, t in enumerate(vertices)}
+    # each element is named once, not once per occurrence
+    names = {x: group.element_name(x) for x in {x for t in vertices for x in t}}
 
     def label(t):
-        return "(" + ", ".join(group.element_name(x) for x in t) + ")"
+        return "(" + ", ".join(map(names.__getitem__, t)) + ")"
 
     edges = []
-    for t in vertices:
-        f = Factorization(group, t)
+    for t, k in index.items():
         for i in range(1, length):
-            u = hurwitz_move(f, i, FORWARD).factors
-            if u == t and not self_loops:
-                continue
-            edges.append((index[t], index[u], i))
+            a, b = t[i - 1], t[i]
+            if a == b and not self_loops:
+                continue  # a forward move fixes (a, a) and nothing else
+            u = t[: i - 1] + (b, group.move_images(a, b)[0]) + t[i + 1 :]
+            edges.append((k, index[u], i))
 
     if format == "json":
         return json.dumps(

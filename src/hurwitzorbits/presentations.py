@@ -323,7 +323,7 @@ def builtin(name: str, *params) -> Presentation:
 # --- reversibility ---------------------------------------------------------
 
 
-def check_reversible(p: Presentation, realization, explanation: bool = True) -> ReversibilityReport:
+def check_reversible(p: Presentation, realization) -> ReversibilityReport:
     """Decide the reversible-relations predicate via a finite realization.
 
     A relator's reverse lies in the normal closure of the relators exactly
@@ -338,6 +338,5 @@ def check_reversible(p: Presentation, realization, explanation: bool = True) -> 
     for r in p.relators:
         rev = words.reverse(r)
         if realization.evaluate_word(rev) != realization.identity_id:
-            witness = (r, rev) if explanation else None
-            return ReversibilityReport(Reversibility.NOT_REVERSIBLE, witness=witness)
+            return ReversibilityReport(Reversibility.NOT_REVERSIBLE, witness=(r, rev))
     return ReversibilityReport(Reversibility.REVERSIBLE)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hurwitzorbits import equalities
 from hurwitzorbits.cli import (
     EXIT_FAILURE,
     EXIT_INCONCLUSIVE,
@@ -114,6 +115,16 @@ def test_orbit_denes_count(capsys, n, size):
     assert code == EXIT_OK and out.strip() == str(size)
 
 
+@pytest.mark.parametrize(
+    "n, cycles, factors, size",
+    [(4, "(1 2) (2 3) (3 4)", [6, 2, 1], 16), (8, "(1 2 3 4 5 6 7 8) (1 2)", [5913, 5040], 14)],
+)
+def test_orbit_json_prints_lehmer_rank_keys(capsys, n, cycles, factors, size):
+    code, out, _ = run(capsys, "orbit", "--builtin", f"s{n}", cycles, "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"factors": factors, "size": size, "exact": True}
+
+
 def test_orbit_juxtaposed_cycles_are_one_factor(capsys):
     code, out, _ = run(capsys, "orbit", "--builtin", "s4", "(1 2)(3 4) (1 3)(2 4)")
     assert code == EXIT_OK
@@ -184,6 +195,33 @@ def test_check_json(capsys):
     assert data["passed"] is True and data["theorem"] == "pair-swap"
 
 
+def test_check_runs_on_the_given_group(capsys, monkeypatch):
+    code, out, _ = run(capsys, "check", "cycle", "--builtin", "s3", "--samples", "2")
+    assert code == EXIT_OK
+    assert out.strip() == "cycle: pass (2 samples, 0 failures, 0 inconclusive)"
+
+    seen = []
+    original = equalities.run_check
+
+    def spy(name, **kwargs):
+        seen.append(sorted(g.order for g in kwargs["groups"].values()))
+        return original(name, **kwargs)
+
+    monkeypatch.setattr(equalities, "run_check", spy)
+    pres = "<r, s | r^3, s^2, r s r s^-1>"
+    assert run(capsys, "check", "conjugate", pres, "--samples", "3")[0] == EXIT_OK
+    assert run(capsys, "check", "mirror-moves", pres, "--samples", "3")[0] == EXIT_OK
+    assert run(capsys, "check", "double-reverse", "--builtin", "g4", "--samples", "3")[0] == EXIT_OK
+    assert seen == [[6], [6], [24]]
+
+
+@pytest.mark.parametrize("suite", ["double-reverse", "mirror-moves"])
+def test_check_word_suite_needs_a_presentation(capsys, suite):
+    code, _, err = run(capsys, "check", suite, "--builtin", "s3", "--samples", "2")
+    assert code == EXIT_USAGE
+    assert "no presentation" in err
+
+
 def test_check_double_reverse_refuses_non_reversible(capsys):
     code, out, _ = run(
         capsys, "check", "double-reverse", "--builtin", "q8-ijk", "--samples", "5"
@@ -245,6 +283,26 @@ def test_double_reverse_json(capsys):
     data = json.loads(out)
     assert data["verdict"] == "equal"
     assert data["note"] == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["realize", "--builtin", "g4", "--seed", "1"],
+        ["realize", "--builtin", "g4", "--node-cap", "5"],
+        ["realize", "--builtin", "g4", "--strict"],
+        ["orbit", "--builtin", "g4", "a b", "--seed", "1"],
+        ["scan-g6", "--max-len", "1", "--seed", "1"],
+        ["scan-g6", "--max-len", "1", "--format", "json"],
+        ["reversible", "--builtin", "g4", "--seed", "1"],
+        ["reversible", "--builtin", "g4", "--node-cap", "5"],
+        ["reversible", "--builtin", "g4", "--strict"],
+        ["double-reverse", "--builtin", "g4", "a, b", "--seed", "1"],
+    ],
+)
+def test_removed_options_are_usage_errors(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_no_command_is_usage(capsys):

@@ -1,7 +1,9 @@
 import random
+import re
 
 import pytest
 
+from hurwitzorbits import equalities
 from hurwitzorbits import presentations as P
 from hurwitzorbits import words
 from hurwitzorbits.equalities import (
@@ -216,3 +218,20 @@ def test_run_check_deterministic():
     a = run_check("cycle", samples=10, seed=9)
     b = run_check("cycle", samples=10, seed=9)
     assert a.failures == b.failures and a.inconclusive == b.inconclusive
+
+
+def test_closed_form_failure_names_its_exponent(monkeypatch, s3):
+    right = closed_form_pair
+
+    def wrong_at_minus_3(group, x, y, m):
+        return (-1, -1) if m == -3 else right(group, x, y, m)
+
+    monkeypatch.setattr(equalities, "closed_form_pair", wrong_at_minus_3)
+    result = run_check("closed-form", samples=2, groups={"S3": s3}, exponent_range=5)
+    assert result.samples == 2 and len(result.failures) == 2
+    for line in result.failures:
+        x, y = map(int, re.match(r"S3: closed form sigma\^-3\((\d+),(\d+)\)", line).groups())
+        f = Factorization(s3, (x, y))
+        for _ in range(3):
+            f = hurwitz_move(f, 1, INVERSE)
+        assert line == f"S3: closed form sigma^-3({x},{y}) = (-1, -1), iteration gives {f.factors}"

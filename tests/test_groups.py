@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -18,13 +19,29 @@ from hurwitzorbits.groups import (
     cycle_notation,
     symmetric_group,
 )
-from hurwitzorbits.hurwitz import Factorization, Finite, orbit_size
+from hurwitzorbits.hurwitz import (
+    FORWARD,
+    INVERSE,
+    Factorization,
+    Finite,
+    apply_braid,
+    export_orbit_graph,
+    orbit,
+    orbit_size,
+)
 from hurwitzorbits.toddcoxeter import enumerate_cosets
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_symmetric_group_orders(n):
     assert symmetric_group(n).order == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetric_group_keys_are_lexicographic_indices(n):
+    s = symmetric_group(n)
+    for k, p in enumerate(itertools.permutations(range(n))):
+        assert s.key_of(p) == k and s.permutation(k) == p
 
 
 def test_symmetric_group_bounds():
@@ -179,6 +196,20 @@ def test_small_orbit_over_a_large_closure(n, size):
     assert orbit_size(f) == Finite(size)
     assert len(s.conjugation_tables()) <= size
     assert_tables_sound(s)
+
+
+def test_moves_and_export_read_the_memo():
+    s4 = symmetric_group(4)
+    t12, t23, t34 = (s4.key_of(tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, 4))) for i in range(3))
+    f = Factorization(s4, (t12, t23, t34))
+    apply_braid(f, [(1, FORWARD), (2, INVERSE), (2, FORWARD)])
+    assert_tables_sound(s4)
+    o = orbit(f)
+    met = len(s4.conjugation_tables())
+    export_orbit_graph(o, "json", self_loops=True)
+    # the search met every pair the export moves
+    assert len(s4.conjugation_tables()) == met
+    assert_tables_sound(s4)
 
 
 def test_conjugation_tables_start_empty():

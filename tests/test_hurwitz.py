@@ -126,10 +126,10 @@ def test_node_cap(s4):
     assert o.capped and o.size == 3
 
 
-def test_orbit_in_a_subgroup_with_sparse_keys():
-    # D10 inside S5: ten elements, but Lehmer-rank keys up to 119
+def test_orbit_in_a_subgroup_with_dense_keys():
+    # D10 inside S5: ten elements, keyed 0..9 by position in the sorted closure
     d10 = dihedral_permutation_group(5)
-    assert d10.order == 10 and max(d10.elements()) == 119
+    assert d10.order == 10 and max(d10.elements()) == 9
     reflections = sorted(x for x in d10.elements() if x != d10.identity and d10.multiply(x, x) == d10.identity)
     f = fz(d10, reflections[0], reflections[1], reflections[2], reflections[0])
     members, capped = orbit_dfs(d10, f.factors)
