@@ -31,8 +31,7 @@ from .hurwitz import (
     same_orbit,
 )
 from .equalities import (
-    EqualityReport,
-    check_equality,
+    STATEMENTS,
     closed_form_pair,
     conjecture_scan,
     conjugate_all,
@@ -40,6 +39,7 @@ from .equalities import (
     double_reverse,
     flip_inverse,
     g4_counterexample_check,
+    invert_all,
     remark_rotation_check,
     reverse_tuple,
     run_check,

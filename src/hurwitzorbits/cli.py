@@ -1,7 +1,9 @@
 """Command-line front door.
 
 Commands: realize, orbit, check, scan-g6, reversible, double-reverse.
-Exit codes: 0 success / all pass, 1 usage or parse error, 2 property
+``check`` samples one entry of ``equalities.STATEMENTS``, and
+``double-reverse`` applies that table's double-reverse entry to the given
+words. Exit codes: 0 success / all pass, 1 usage or parse error, 2 property
 failure, 3 cap-inconclusive under --strict.
 """
 
@@ -222,9 +224,10 @@ def cmd_check(args) -> int:
     groups = None
     if args.builtin or args.file or args.presentation:
         group, pres = _load_group(args)
-        if args.theorem in equalities.WORD_SUITES and pres is None:
+        domain = equalities.STATEMENTS[args.theorem].domain
+        if domain.words and pres is None:
             raise CliError(f"{args.theorem} samples words, and {args.builtin} has no presentation")
-        if args.theorem == "double-reverse":
+        if domain.reversible:
             report = check_reversible(pres, group.realization)
             if report.status is not Reversibility.REVERSIBLE:
                 print(
@@ -307,23 +310,28 @@ def cmd_double_reverse(args) -> int:
     pres = _load_presentation(args)
     group = _realize(pres, args.coset_cap)
     ws, keys = _parse_word_factors(pres, group, args.factors)
-    rep = equalities.check_equality(
-        group,
-        Factorization(group, tuple(keys)),
-        "double_reverse",
-        node_cap=args.node_cap,
-        word_tuple=tuple(ws),
-        presentation=pres,
-    )
+    reversible = check_reversible(pres, group.realization).status is Reversibility.REVERSIBLE
+    note = "" if reversible else "no guarantee: presentation not reversible"
+    dr = equalities.STATEMENTS["double-reverse"].transform(tuple(ws))
+    f, out = Factorization(group, tuple(keys)), equalities.evaluate_tuple(group, dr)
+    left, right, verdict = equalities.compare_sizes(f, out, args.node_cap)
+    report = {
+        "transform": "double_reverse",
+        "input": list(f.factors),
+        "output": list(out.factors),
+        "size_left": left,
+        "size_right": right,
+        "verdict": verdict,
+        "note": note,
+    }
     if args.format == "json":
-        print(rep.to_json())
+        print(json.dumps(report))
     else:
-        dr = equalities.double_reverse(tuple(ws))
         print("double reverse: " + ", ".join(str(w) for w in dr))
-        print(f"orbit sizes: {rep.size_left} vs {rep.size_right} -> {rep.verdict}")
-        if rep.note:
-            print(f"note: {rep.note}")
-    if rep.verdict == "inconclusive" and args.strict:
+        print(f"orbit sizes: {left} vs {right} -> {verdict}")
+        if note:
+            print(f"note: {note}")
+    if verdict == "inconclusive" and args.strict:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 

@@ -1,18 +1,19 @@
-"""Orbit-size equality transformations, reports, and sampled check suites.
+"""The paper's orbit-size statements, their sampled checks, and the G6 scan.
 
-Every equality statement is verified by computing both orbit sizes and
-comparing, never by assuming the statement: a bug shows up as a failing
-check, not a silent shortcut.
+``STATEMENTS`` is the one table of the statements: each CLI name maps to an
+input domain and a transform. ``run_check`` draws inputs from the domain,
+computes both orbit sizes and compares them, never assuming the statement,
+so a bug shows up as a failing check, not a silent shortcut. The two
+identities, ``closed-form`` and ``mirror-moves``, return failure lines.
 """
 
 from __future__ import annotations
 
 import io
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import presentations, words
 from .groups import Group, RealizedGroup, symmetric_group
@@ -26,7 +27,6 @@ from .hurwitz import (
     hurwitz_move,
     orbit_size,
 )
-from .presentations import Presentation, Reversibility, check_reversible
 from .toddcoxeter import enumerate_cosets
 from .words import Word
 
@@ -71,16 +71,18 @@ def cycle(f: Factorization) -> Factorization:
 
 
 def conjugate_all(f: Factorization, y: int) -> Factorization:
-    return Factorization(
-        f.group, tuple(f.group.conjugate(x, y) for x in f.factors)
-    )
+    """Conjugate every factor by y."""
+    return Factorization(f.group, tuple(f.group.conjugate(x, y) for x in f.factors))
+
+
+def invert_all(f: Factorization) -> Factorization:
+    """Invert each factor in place."""
+    return Factorization(f.group, tuple(f.group.inverse(x) for x in f.factors))
 
 
 def flip_inverse(f: Factorization) -> Factorization:
     """Reverse the order and invert each factor."""
-    return Factorization(
-        f.group, tuple(f.group.inverse(x) for x in reversed(f.factors))
-    )
+    return Factorization(f.group, tuple(f.group.inverse(x) for x in reversed(f.factors)))
 
 
 def reverse_tuple(f: Factorization) -> Factorization:
@@ -108,94 +110,6 @@ def word_tuple_move(t: WordTuple, i: int, direction: str = FORWARD) -> WordTuple
 
 def evaluate_tuple(group: RealizedGroup, t: WordTuple) -> Factorization:
     return Factorization(group, tuple(group.evaluate_word(w) for w in t))
-
-
-# --- equality reports -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EqualityReport:
-    transform: str
-    input_factors: Tuple[int, ...]
-    output_factors: Tuple[int, ...]
-    size_left: Optional[int]
-    size_right: Optional[int]
-    verdict: str  # equal | unequal | inconclusive
-    note: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "transform": self.transform,
-                "input": list(self.input_factors),
-                "output": list(self.output_factors),
-                "size_left": self.size_left,
-                "size_right": self.size_right,
-                "verdict": self.verdict,
-                "note": self.note,
-            }
-        )
-
-
-def _size_or_none(f: Factorization, node_cap: int) -> Optional[int]:
-    s = orbit_size(f, node_cap)
-    return s.size if isinstance(s, Finite) else None
-
-
-def check_equality(
-    group: Group,
-    f: Factorization,
-    transform: str,
-    node_cap: int = DEFAULT_NODE_CAP,
-    y: Optional[int] = None,
-    word_tuple: Optional[WordTuple] = None,
-    presentation: Optional[Presentation] = None,
-) -> EqualityReport:
-    """Compute orbit sizes of f and its transform; report, never assert.
-
-    For ``double_reverse`` pass the word tuple that f evaluates; when the
-    presentation is not known to be reversible the report carries a
-    "no guarantee" note.
-    """
-    note = ""
-    if transform == "cycle":
-        out = cycle(f)
-    elif transform == "flip_inverse":
-        out = flip_inverse(f)
-    elif transform == "reverse_tuple":
-        out = reverse_tuple(f)
-    elif transform == "conjugate_all":
-        if y is None:
-            raise ValueError("conjugate_all needs the conjugating element y")
-        out = conjugate_all(f, y)
-    elif transform == "double_reverse":
-        if word_tuple is None or not isinstance(group, RealizedGroup):
-            raise ValueError(
-                "double_reverse needs a word tuple over a realized group"
-            )
-        if presentation is not None:
-            report = check_reversible(presentation, group.realization)
-            if report.status is not Reversibility.REVERSIBLE:
-                note = "no guarantee: presentation not reversible"
-        out = evaluate_tuple(group, double_reverse(word_tuple))
-    else:
-        raise ValueError(f"unknown transform {transform!r}")
-
-    size_left = _size_or_none(f, node_cap)
-    size_right = _size_or_none(out, node_cap)
-    if size_left is None or size_right is None:
-        verdict = "inconclusive"
-    else:
-        verdict = "equal" if size_left == size_right else "unequal"
-    return EqualityReport(
-        transform=transform,
-        input_factors=f.factors,
-        output_factors=out.factors,
-        size_left=size_left,
-        size_right=size_right,
-        verdict=verdict,
-        note=note,
-    )
 
 
 # --- the two-letter rotation remark ----------------------------------------
@@ -329,13 +243,157 @@ def g4_counterexample_check(
     )
 
 
-# --- sampled theorem suites ---------------------------------------------------
+# --- the paper's statements -------------------------------------------------
+
+
+def _size_or_none(f: Factorization, node_cap: int) -> Optional[int]:
+    s = orbit_size(f, node_cap)
+    return s.size if isinstance(s, Finite) else None
+
+
+def compare_sizes(f: Factorization, out: Factorization, node_cap: int):
+    """(size of f, size of out, verdict); a capped size is None, "inconclusive"."""
+    left = _size_or_none(f, node_cap)
+    right = _size_or_none(out, node_cap)
+    if left is None or right is None:
+        return left, right, "inconclusive"
+    return left, right, "equal" if left == right else "unequal"
+
+
+def closed_form_failures(f: Factorization, exponent_range: int) -> List[str]:
+    """Compare closed_form_pair with sigma^m by iteration, for |m| <= exponent_range."""
+    group, (x, y) = f.group, f.factors
+    iterated = {0: (x, y)}
+    for direction, step in ((FORWARD, 1), (INVERSE, -1)):
+        g = f
+        for k in range(1, exponent_range + 1):
+            g = hurwitz_move(g, 1, direction)
+            iterated[step * k] = g.factors
+    failures = []
+    for m in range(-exponent_range, exponent_range + 1):
+        got = closed_form_pair(group, x, y, m)
+        if got != iterated[m]:
+            failures.append(
+                f"closed form sigma^{m}({x},{y}) = {got}, iteration gives {iterated[m]}"
+            )
+    return failures
+
+
+def mirror_move_failures(t: WordTuple, positions: Sequence[int]) -> List[str]:
+    """Moves at ``positions`` commute with the double reverse, mirrored:
+    the double reverse of sigma_p(t) is sigma_{l-p}^-1 of the double reverse."""
+    u = t
+    for p in positions:
+        u = word_tuple_move(u, p, FORWARD)
+    v = double_reverse(t)
+    for p in positions:
+        v = word_tuple_move(v, len(t) - p, INVERSE)
+    if double_reverse(u) == v:
+        return []
+    return [
+        f"mirrored moves broke the double reverse for {[str(w) for w in t]} "
+        f"with positions {list(positions)}"
+    ]
+
+
+def _random_word(rng: random.Random, alphabet, max_len: int) -> Word:
+    letters: List[Tuple[int, int]] = []
+    for _ in range(rng.randint(0, max_len)):
+        last = letters[-1] if letters else None
+        choices = [(i, s) for i in range(len(alphabet)) for s in (1, -1) if (i, -s) != last]
+        letters.append(rng.choice(choices))
+    return Word(tuple(alphabet), tuple(letters))
+
+
+class Domain(NamedTuple):
+    """Where inputs come from: ``draw(rng, group, pool(group))`` returns one
+    input, the transform's arguments. A word domain draws words over the
+    group's presentation and picks the group per sample; the others draw
+    ``samples`` inputs from each group."""
+
+    pool: Callable
+    draw: Callable
+    words: bool = False
+    reversible: bool = False  # the statement holds over reversible presentations
+
+
+LENGTHS = (2, 3, 4)
+
+
+def _pair(rng: random.Random, group: Group, els: List[int]):
+    return (Factorization(group, (rng.choice(els), rng.choice(els))),)
+
+
+def _tuple(rng: random.Random, group: Group, pool: List[int]):
+    return (Factorization(group, tuple(rng.choice(pool) for _ in range(rng.choice(LENGTHS)))),)
+
+
+def _conjugated(rng: random.Random, group: Group, els: List[int]):
+    return _tuple(rng, group, els) + (rng.choice(els),)
+
+
+def _words(rng: random.Random, group: Group, generators):
+    return (tuple(_random_word(rng, generators, 3) for _ in range(rng.randint(2, 3))),)
+
+
+def _word_moves(rng: random.Random, group: Group, generators):
+    (t,) = _words(rng, group, generators)
+    return t, [rng.randint(1, len(t) - 1) for _ in range(rng.randint(1, 8))]
+
+
+def _elements(group: Group) -> List[int]:
+    return list(group.elements())
+
+
+def _involutions(group: Group) -> List[int]:
+    return [x for x in group.elements() if group.element_order(x) <= 2]
+
+
+def _generators(group: Group):
+    return group.realization.origin.generators
+
+
+PAIRS = Domain(_elements, _pair)
+TUPLES = Domain(_elements, _tuple)
+INVOLUTIONS = Domain(_involutions, _tuple)
+CONJUGATED = Domain(_elements, _conjugated)
+REVERSIBLE_WORDS = Domain(_generators, _words, words=True, reversible=True)
+WORD_MOVES = Domain(_generators, _word_moves, words=True)
+
+
+class Statement(NamedTuple):
+    """A statement over ``domain``. ``transform(*input)`` returns an input
+    whose orbit must have the size of the first argument's orbit. For an
+    identity, ``transform(*input, exponent_range)`` returns its failure
+    lines instead."""
+
+    domain: Domain
+    transform: Callable
+    identity: bool = False
+
+
+STATEMENTS: Dict[str, Statement] = {
+    "pair-swap": Statement(PAIRS, reverse_tuple),
+    "pair-inverse": Statement(PAIRS, invert_all),
+    "cycle": Statement(TUPLES, cycle),
+    "flip-inverse": Statement(TUPLES, flip_inverse),
+    "conjugate": Statement(CONJUGATED, conjugate_all),
+    "involution-reverse": Statement(INVOLUTIONS, reverse_tuple),
+    "double-reverse": Statement(REVERSIBLE_WORDS, double_reverse),
+    "closed-form": Statement(PAIRS, closed_form_failures, identity=True),
+    "mirror-moves": Statement(
+        WORD_MOVES, lambda t, positions, _range: mirror_move_failures(t, positions), identity=True
+    ),
+}
+THEOREM_NAMES = tuple(STATEMENTS)
+# suites that sample words over a presentation, not elements of a group
+WORD_SUITES = tuple(name for name, s in STATEMENTS.items() if s.domain.words)
 
 
 @dataclass
 class CheckResult:
     name: str
-    samples: int
+    samples: int = 0
     failures: List[str] = field(default_factory=list)
     inconclusive: int = 0
 
@@ -344,63 +402,16 @@ class CheckResult:
         return not self.failures
 
 
-THEOREM_NAMES = (
-    "pair-swap",
-    "pair-inverse",
-    "cycle",
-    "flip-inverse",
-    "conjugate",
-    "involution-reverse",
-    "double-reverse",
-    "closed-form",
-    "mirror-moves",
-)
-
-
-# suites that sample words over a presentation, not elements of a group
-WORD_SUITES = ("double-reverse", "mirror-moves")
-
-
-def default_check_groups() -> Dict[str, Group]:
-    """The five groups the sampled group suites run over."""
-    named = {"S4": symmetric_group(4)}
-    for name, pres in (
-        ("D12", presentations.dihedral_rs(6)),
-        ("Q8", presentations.q8_ab()),
-        ("G4", presentations.g4()),
-        ("G6", presentations.g6()),
-    ):
+def default_check_groups(words: bool = False) -> Dict[str, Group]:
+    """S4, D12, Q8, G4 and G6, or D10 and G6 for the word suites."""
+    P = presentations
+    named: Dict[str, Group] = {} if words else {"S4": symmetric_group(4)}
+    sources = [("D10", P.dihedral_rs(5))] if words else [
+        ("D12", P.dihedral_rs(6)), ("Q8", P.q8_ab()), ("G4", P.g4())
+    ]
+    for name, pres in sources + [("G6", P.g6())]:
         named[name] = RealizedGroup(enumerate_cosets(pres), name=name)
     return named
-
-
-def _random_factorization(rng: random.Random, group: Group, length: int) -> Factorization:
-    els = list(group.elements())
-    return Factorization(group, tuple(rng.choice(els) for _ in range(length)))
-
-
-def _random_word(rng: random.Random, alphabet, max_len: int) -> Word:
-    letters: List[Tuple[int, int]] = []
-    for _ in range(rng.randint(0, max_len)):
-        choices = [
-            (i, s)
-            for i in range(len(alphabet))
-            for s in (1, -1)
-            if not (letters and letters[-1] == (i, -s))
-        ]
-        letters.append(rng.choice(choices))
-    return Word(tuple(alphabet), tuple(letters))
-
-
-def _compare(result: CheckResult, group_name, f, out, node_cap):
-    left = _size_or_none(f, node_cap)
-    right = _size_or_none(out, node_cap)
-    if left is None or right is None:
-        result.inconclusive += 1
-    elif left != right:
-        result.failures.append(
-            f"{group_name}: {f.factors} -> {out.factors}: {left} != {right}"
-        )
 
 
 def run_check(
@@ -410,126 +421,47 @@ def run_check(
     node_cap: int = DEFAULT_NODE_CAP,
     groups: Optional[Dict[str, Group]] = None,
     exponent_range: int = 20,
-    lengths: Tuple[int, ...] = (2, 3, 4),
 ) -> CheckResult:
-    """Run one named property suite on sampled inputs; see THEOREM_NAMES.
+    """Check one statement of STATEMENTS on sampled inputs.
 
-    ``groups`` replaces the default groups. The word suites (WORD_SUITES)
+    ``groups`` replaces the default groups; the word suites (WORD_SUITES)
     sample words over each group's presentation, so they need realized
     groups.
     """
-    if name not in THEOREM_NAMES:
+    if name not in STATEMENTS:
         raise ValueError(f"unknown theorem {name!r}; known: {THEOREM_NAMES}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if exponent_range < 0:
+        raise ValueError(f"exponent range must be >= 0, got {exponent_range}")
+    statement = STATEMENTS[name]
+    domain = statement.domain
+    if groups is None:
+        groups = default_check_groups(domain.words)
+    targets = [(n, g, domain.pool(g)) for n, g in sorted(groups.items())]
     rng = random.Random(seed)
-    if name in WORD_SUITES:
-        return _run_word_tuple_check(name, samples, rng, node_cap, groups)
-    if groups is None:
-        groups = default_check_groups()
-    result = CheckResult(name=name, samples=samples * len(groups))
+    if domain.words:
+        schedule = (rng.choice(targets) for _ in range(samples))
+    else:
+        schedule = (target for target in targets for _ in range(samples))
 
-    for group_name, group in sorted(groups.items()):
-        els = list(group.elements())
-        for _ in range(samples):
-            if name == "pair-swap":
-                x, y = rng.choice(els), rng.choice(els)
-                f = Factorization(group, (x, y))
-                _compare(result, group_name, f, Factorization(group, (y, x)), node_cap)
-            elif name == "pair-inverse":
-                x, y = rng.choice(els), rng.choice(els)
-                f = Factorization(group, (x, y))
-                out = Factorization(group, (group.inverse(x), group.inverse(y)))
-                _compare(result, group_name, f, out, node_cap)
-            elif name == "cycle":
-                f = _random_factorization(rng, group, rng.choice(lengths))
-                _compare(result, group_name, f, cycle(f), node_cap)
-            elif name == "flip-inverse":
-                f = _random_factorization(rng, group, rng.choice(lengths))
-                _compare(result, group_name, f, flip_inverse(f), node_cap)
-            elif name == "conjugate":
-                f = _random_factorization(rng, group, rng.choice(lengths))
-                y = rng.choice(els)
-                _compare(result, group_name, f, conjugate_all(f, y), node_cap)
-            elif name == "involution-reverse":
-                invol = [g for g in els if group.element_order(g) <= 2]
-                f = Factorization(
-                    group,
-                    tuple(rng.choice(invol) for _ in range(rng.choice(lengths))),
-                )
-                _compare(result, group_name, f, reverse_tuple(f), node_cap)
-            elif name == "closed-form":
-                x, y = rng.choice(els), rng.choice(els)
-                # sigma^m(x, y) by iteration: one forward and one backward walk
-                iterated = {0: (x, y)}
-                for direction, step in ((FORWARD, 1), (INVERSE, -1)):
-                    f = Factorization(group, (x, y))
-                    for k in range(1, exponent_range + 1):
-                        f = hurwitz_move(f, 1, direction)
-                        iterated[step * k] = f.factors
-                for m in range(-exponent_range, exponent_range + 1):
-                    expected = iterated[m]
-                    got = closed_form_pair(group, x, y, m)
-                    if got != expected:
-                        result.failures.append(
-                            f"{group_name}: closed form sigma^{m}({x},{y}) "
-                            f"= {got}, iteration gives {expected}"
-                        )
-    return result
-
-
-def _run_word_tuple_check(
-    name: str, samples: int, rng: random.Random, node_cap: int, groups: Optional[Dict[str, Group]]
-) -> CheckResult:
-    if groups is None:
-        groups = {
-            pres_name: RealizedGroup(enumerate_cosets(pres), name=pres_name)
-            for pres_name, pres in (("D10", presentations.dihedral_rs(5)), ("G6", presentations.g6()))
-        }
-    targets = sorted(groups.items())
-
-    result = CheckResult(name=name, samples=samples)
-    for _ in range(samples):
-        pres_name, group = rng.choice(targets)
-        pres = group.realization.origin
-        length = rng.randint(2, 3)
-        t = tuple(
-            _random_word(rng, pres.generators, 3) for _ in range(length)
-        )
-        if name == "double-reverse":
-            rep = check_equality(
-                group,
-                evaluate_tuple(group, t),
-                "double_reverse",
-                node_cap=node_cap,
-                word_tuple=t,
-                presentation=pres,
-            )
-            if rep.verdict == "inconclusive":
-                result.inconclusive += 1
-            elif rep.verdict != "equal":
-                result.failures.append(
-                    f"{pres_name}: {[str(w) for w in t]}: "
-                    f"{rep.size_left} != {rep.size_right}"
-                )
-        else:  # mirror-moves, the mirrored braid double-reverse preservation
-            n_moves = rng.randint(1, 8)
-            positions = [rng.randint(1, length - 1) for _ in range(n_moves)]
-            u_n = t
-            for p in positions:
-                u_n = word_tuple_move(u_n, p, FORWARD)
-            v_n = double_reverse(t)
-            for p in positions:
-                v_n = word_tuple_move(v_n, length - p, INVERSE)
-            expected = double_reverse(u_n)
-            if expected != v_n:
-                result.failures.append(
-                    f"{pres_name}: mirrored moves broke the double reverse "
-                    f"for {[str(w) for w in t]} with positions {positions}"
-                )
-                continue
-            # the same equality, checked in the realized quotient
-            for w1, w2 in zip(expected, v_n):
-                if group.evaluate_word(w1) != group.evaluate_word(w2):
-                    result.failures.append(
-                        f"{pres_name}: realized mismatch for {w1} vs {w2}"
-                    )
+    result = CheckResult(name=name)
+    for group_name, group, pool in schedule:
+        result.samples += 1
+        args = domain.draw(rng, group, pool)
+        if statement.identity:
+            lines = statement.transform(*args, exponent_range)
+            result.failures.extend(f"{group_name}: {line}" for line in lines)
+            continue
+        f, out = args[0], statement.transform(*args)
+        if domain.words:
+            shown = [str(w) for w in f]
+            f, out = evaluate_tuple(group, f), evaluate_tuple(group, out)
+        else:
+            shown = f"{f.factors} -> {out.factors}"
+        left, right, verdict = compare_sizes(f, out, node_cap)
+        if verdict == "inconclusive":
+            result.inconclusive += 1
+        elif verdict == "unequal":
+            result.failures.append(f"{group_name}: {shown}: {left} != {right}")
     return result

@@ -9,12 +9,11 @@ run-to-run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from . import words
-from .presentations import Presentation, parse_presentation, render_presentation
+from .presentations import Presentation
 from .words import Word
 
 DEFAULT_COSET_CAP = 1_000_000
@@ -101,27 +100,6 @@ class CayleyRealization:
                 f"of {self.origin.generators}"
             )
         return self._follow(0, w)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "order": self.order,
-                "generators": list(self.origin.generators),
-                "action": [[list(fwd), list(bwd)] for fwd, bwd in self.action],
-                "presentation": render_presentation(self.origin),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CayleyRealization":
-        data = json.loads(text)
-        origin = parse_presentation(data["presentation"])
-        if list(origin.generators) != data["generators"]:
-            raise ValueError("generator list does not match presentation")
-        action = [
-            (tuple(fwd), tuple(bwd)) for fwd, bwd in data["action"]
-        ]
-        return cls(origin, action)
 
 
 def enumerate_cosets(

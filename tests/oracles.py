@@ -5,6 +5,7 @@ interface, and the orbit oracle deliberately uses a different traversal
 (DFS on unpacked tuples) than the library's packed BFS.
 """
 
+import itertools
 from fractions import Fraction as F
 
 from hurwitzorbits.groups import Group, PermutationGroup
@@ -249,3 +250,50 @@ def transposition_pair_orbits(group):
 def _is_transposition(group, g):
     perm = group.permutation(g)
     return sum(1 for i, v in enumerate(perm) if v != i) == 2
+
+
+# --- exhaustive orbit census ---------------------------------------------------
+
+
+class TableGroup(Group):
+    """A group read once into a multiplication table: the census's arithmetic."""
+
+    def __init__(self, group):
+        self.name = group.name
+        self._identity = group.identity
+        els = range(group.order)
+        self.table = [[group.multiply(a, b) for b in els] for a in els]
+        self.inv = [group.inverse(a) for a in els]
+
+    @property
+    def order(self):
+        return len(self.table)
+
+    @property
+    def identity(self):
+        return self._identity
+
+    def multiply(self, g, h):
+        return self.table[g][h]
+
+    def inverse(self, g):
+        return self.inv[g]
+
+    def conjugate(self, g, y):
+        return self.table[self.table[self.inv[y]][g]][y]
+
+
+def orbit_census(group, n):
+    """Every Hurwitz orbit of G^n: (table, orbit id of each n-tuple, sizes).
+
+    Each orbit is closed by ``orbit_dfs`` over a ``TableGroup`` built once;
+    its keys are the group's, so library factorizations look up directly.
+    """
+    table = TableGroup(group)
+    orbit_of, sizes = {}, []
+    for t in itertools.product(range(table.order), repeat=n):
+        if t not in orbit_of:
+            members, _ = orbit_dfs(table, t)
+            orbit_of.update(dict.fromkeys(members, len(sizes)))
+            sizes.append(len(members))
+    return table, orbit_of, sizes

@@ -103,7 +103,7 @@ def test_acceptance_4_theorem_suites():
     start = time.perf_counter()
     failures = []
     for name in suites:
-        result = run_check(name, samples=100, seed=202, lengths=(2, 3, 4))
+        result = run_check(name, samples=100, seed=202)
         if not result.passed:
             failures.append(f"{name}: {result.failures[:2]}")
     elapsed = time.perf_counter() - start

@@ -285,6 +285,41 @@ def test_double_reverse_json(capsys):
     assert data["note"] == ""
 
 
+def test_double_reverse_notes_a_non_reversible_presentation(capsys):
+    code, out, _ = run(capsys, "double-reverse", "--builtin", "q8-ijk", "i, j")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "note: no guarantee: presentation not reversible"
+    code, out, _ = run(capsys, "double-reverse", "--builtin", "q8-ijk", "i, j", "--format", "json")
+    data = json.loads(out)
+    assert data["transform"] == "double_reverse"
+    assert data["note"] == "no guarantee: presentation not reversible"
+
+
+def test_double_reverse_inconclusive_when_capped(capsys):
+    argv = ["double-reverse", "--builtin", "g6", "a b, b, a", "--node-cap", "3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert "orbit sizes: None vs None -> inconclusive" in out
+    assert run(capsys, *argv, "--strict")[0] == EXIT_INCONCLUSIVE
+    data = json.loads(run(capsys, *argv, "--format", "json")[1])
+    assert (data["size_left"], data["size_right"], data["verdict"]) == (None, None, "inconclusive")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "cycle", "--samples", "0"],
+        ["check", "cycle", "--samples", "-3"],
+        ["check", "mirror-moves", "--samples", "0"],
+        ["check", "closed-form", "--range", "-2", "--samples", "2"],
+    ],
+)
+def test_check_rejects_vacuous_runs(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

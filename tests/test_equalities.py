@@ -7,9 +7,10 @@ from hurwitzorbits import equalities
 from hurwitzorbits import presentations as P
 from hurwitzorbits import words
 from hurwitzorbits.equalities import (
+    STATEMENTS,
     THEOREM_NAMES,
-    check_equality,
     closed_form_pair,
+    compare_sizes,
     conjecture_scan,
     conjugate_all,
     cycle,
@@ -24,6 +25,7 @@ from hurwitzorbits.equalities import (
     word_tuple_move,
 )
 from hurwitzorbits.hurwitz import (
+    DEFAULT_NODE_CAP,
     FORWARD,
     INVERSE,
     Factorization,
@@ -108,51 +110,28 @@ def test_word_tuple_move_bounds():
         word_tuple_move((u, u), 2)
 
 
-def test_check_equality_cycle(g4_group):
+def test_compare_sizes_equal(g4_group):
     f = Factorization(g4_group, (1, 2))
-    rep = check_equality(g4_group, f, "cycle")
-    assert rep.verdict == "equal"
-    assert rep.size_left == rep.size_right
+    left, right, verdict = compare_sizes(f, STATEMENTS["cycle"].transform(f), DEFAULT_NODE_CAP)
+    assert verdict == "equal"
+    assert left == right
 
 
-def test_check_equality_inconclusive(s4):
+def test_compare_sizes_inconclusive(s4):
     t = s4.key_of((1, 0, 2, 3))
     u = s4.key_of((0, 2, 1, 3))
-    rep = check_equality(s4, Factorization(s4, (t, u, t)), "cycle", node_cap=2)
-    assert rep.verdict == "inconclusive"
+    f = Factorization(s4, (t, u, t))
+    assert compare_sizes(f, cycle(f), node_cap=2) == (None, None, "inconclusive")
 
 
-def test_check_equality_conjugate_needs_y(s4):
-    with pytest.raises(ValueError):
-        check_equality(s4, Factorization(s4, (1, 2)), "conjugate_all")
-
-
-def test_check_equality_unknown_transform(s4):
-    with pytest.raises(ValueError):
-        check_equality(s4, Factorization(s4, (1, 2)), "mirror")
-
-
-def test_check_equality_double_reverse_note(q8_ijk_group):
-    pres = q8_ijk_group.realization.origin
-    alphabet = pres.generators
-    t = (P.parse_word(alphabet, "i"), P.parse_word(alphabet, "j"))
-    rep = check_equality(
-        q8_ijk_group,
-        evaluate_tuple(q8_ijk_group, t),
-        "double_reverse",
-        word_tuple=t,
-        presentation=pres,
+def test_statements_are_the_cli_suites():
+    assert THEOREM_NAMES == (
+        "pair-swap", "pair-inverse", "cycle", "flip-inverse", "conjugate",
+        "involution-reverse", "double-reverse", "closed-form", "mirror-moves",
     )
-    assert rep.note == "no guarantee: presentation not reversible"
-
-
-def test_check_equality_report_json(g4_group):
-    rep = check_equality(g4_group, Factorization(g4_group, (1, 2)), "cycle")
-    import json
-
-    data = json.loads(rep.to_json())
-    assert data["transform"] == "cycle"
-    assert data["verdict"] == "equal"
+    assert equalities.WORD_SUITES == ("double-reverse", "mirror-moves")
+    assert [n for n, s in STATEMENTS.items() if s.identity] == ["closed-form", "mirror-moves"]
+    assert [n for n, s in STATEMENTS.items() if s.domain.reversible] == ["double-reverse"]
 
 
 def test_remark_rotation_basic():
@@ -214,6 +193,17 @@ def test_run_check_closed_form_passes():
     assert result.passed, result.failures
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_run_check_rejects_no_samples(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        run_check("cycle", samples=samples)
+
+
+def test_run_check_rejects_negative_exponent_range(s3):
+    with pytest.raises(ValueError, match="exponent range must be >= 0"):
+        run_check("closed-form", samples=2, groups={"S3": s3}, exponent_range=-2)
+
+
 def test_run_check_deterministic():
     a = run_check("cycle", samples=10, seed=9)
     b = run_check("cycle", samples=10, seed=9)
@@ -235,3 +225,18 @@ def test_closed_form_failure_names_its_exponent(monkeypatch, s3):
         for _ in range(3):
             f = hurwitz_move(f, 1, INVERSE)
         assert line == f"S3: closed form sigma^-3({x},{y}) = (-1, -1), iteration gives {f.factors}"
+
+
+def test_mirror_move_failure_names_its_positions(monkeypatch, g6_group):
+    right = word_tuple_move
+
+    def wrong_inverse(t, i, direction=FORWARD):
+        return t if direction == INVERSE else right(t, i, direction)
+
+    monkeypatch.setattr(equalities, "word_tuple_move", wrong_inverse)
+    result = run_check("mirror-moves", samples=3, seed=5, groups={"G6": g6_group})
+    assert result.samples == 3 and len(result.failures) == 3
+    for line in result.failures:
+        assert re.fullmatch(
+            r"G6: mirrored moves broke the double reverse for \[.*\] with positions \[[12](, [12])*\]", line
+        ), line

@@ -13,7 +13,7 @@ from oracles import (
 from hurwitzorbits import presentations as P
 from hurwitzorbits import words
 from hurwitzorbits.groups import RealizedGroup
-from hurwitzorbits.toddcoxeter import Capped, CayleyRealization, enumerate_cosets
+from hurwitzorbits.toddcoxeter import Capped, enumerate_cosets
 from hurwitzorbits.words import AlphabetMismatchError
 
 
@@ -173,13 +173,3 @@ def test_deterministic_ids():
     a = enumerate_cosets(P.g6())
     b = enumerate_cosets(P.g6())
     assert a.action == b.action
-
-
-def test_json_roundtrip(g4_group):
-    r = g4_group.realization
-    text = r.to_json()
-    back = CayleyRealization.from_json(text)
-    assert back.order == r.order
-    assert back.origin == r.origin
-    assert back.action == r.action
-    assert back.to_json() == text
