@@ -10,7 +10,7 @@ run-to-run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 from . import words
 from .presentations import Presentation
@@ -32,53 +32,33 @@ class CayleyRealization:
     """A finite group as ids 0..order-1 with generator action permutations.
 
     ``action[g][sign]`` maps each id to the id after right multiplication by
-    generator g (sign 0) or its inverse (sign 1). Id 0 is the identity.
+    generator g (sign 0) or its inverse (sign 1). Id 0 is the identity, and
+    ids are breadth-first from it (generators in declaration order, each
+    before its inverse), so they depend only on the Cayley graph.
+    ``letters[g]`` spells a shortest word for element g.
     """
 
-    def __init__(self, origin: Presentation, action: List[Tuple[Tuple[int, ...], Tuple[int, ...]]]):
+    def __init__(self, origin: Presentation, action: List[Tuple[Tuple[int, ...], Tuple[int, ...]]],
+                 letters: List[Tuple[words.Letter, ...]]):
         self.origin = origin
         self.action = action
-        self.order = len(action[0][0]) if action else 1
+        self.order = len(letters)
         self.identity_id = 0
-        self._rep_words = self._representative_words()
+        self._letters = letters
         self._inverses = tuple(
-            self._follow(0, words.invert(w)) for w in self._rep_words
+            self._follow(0, [(i, -s) for i, s in reversed(w)]) for w in letters
         )
 
-    def _follow(self, start: int, w: Word) -> int:
+    def _follow(self, start: int, letters) -> int:
         c = start
-        for idx, sign in w.letters:
+        for idx, sign in letters:
             c = self.action[idx][0 if sign > 0 else 1][c]
         return c
-
-    def _representative_words(self) -> List[Word]:
-        # BFS from the identity in declaration order: shortest, deterministic.
-        alphabet = self.origin.generators
-        reps: List[Word] = [None] * self.order  # type: ignore[list-item]
-        reps[0] = words.empty(alphabet)
-        frontier = [0]
-        seen = 1
-        while frontier and seen < self.order:
-            new = []
-            for c in frontier:
-                for idx in range(len(alphabet)):
-                    for sign in (1, -1):
-                        d = self.action[idx][0 if sign > 0 else 1][c]
-                        if reps[d] is None:
-                            reps[d] = words.concat(
-                                reps[c], words.generator(alphabet, idx, sign)
-                            )
-                            new.append(d)
-                            seen += 1
-            frontier = new
-        if seen != self.order:
-            raise ValueError("generator action is not transitive")
-        return reps
 
     def representative_word(self, g: int) -> Word:
         """A shortest word in the generators evaluating to element g."""
         self._check(g)
-        return self._rep_words[g]
+        return Word(self.origin.generators, self._letters[g])
 
     def _check(self, g: int):
         if not 0 <= g < self.order:
@@ -87,7 +67,7 @@ class CayleyRealization:
     def multiply(self, g: int, h: int) -> int:
         self._check(g)
         self._check(h)
-        return self._follow(g, self._rep_words[h])
+        return self._follow(g, self._letters[h])
 
     def inverse(self, g: int) -> int:
         self._check(g)
@@ -99,7 +79,30 @@ class CayleyRealization:
                 f"word over {w.alphabet} cannot be evaluated in a realization "
                 f"of {self.origin.generators}"
             )
-        return self._follow(0, w)
+        return self._follow(0, w.letters)
+
+
+def _breadth_first(p: Presentation, neighbor: Callable[[int, int], int]) -> CayleyRealization:
+    """Number the live cosets breadth-first from coset 0.
+
+    ``neighbor(c, d)`` is the live coset at the end of direction d (2i for
+    generator i, 2i + 1 for its inverse) from live coset c.
+    """
+    ngens = len(p.generators)
+    ids = {0: 0}
+    cosets = [0]
+    letters: List[Tuple[words.Letter, ...]] = [()]
+    columns: List[List[int]] = [[] for _ in range(2 * ngens)]
+    for k, c in enumerate(cosets):
+        for d, column in enumerate(columns):
+            e = neighbor(c, d)
+            if e not in ids:
+                ids[e] = len(cosets)
+                cosets.append(e)
+                letters.append(letters[k] + ((d >> 1, -1 if d & 1 else 1),))
+            column.append(ids[e])
+    action = [(tuple(columns[2 * i]), tuple(columns[2 * i + 1])) for i in range(ngens)]
+    return CayleyRealization(p, action, letters)
 
 
 def enumerate_cosets(
@@ -179,12 +182,4 @@ def enumerate_cosets(
                 return Capped(coset_cap)
         to_visit += 1
 
-    # Compact to contiguous ids; the identity coset keeps id 0.
-    roots = [c for c in range(len(labels)) if find(c) == c]
-    compact = {c: i for i, c in enumerate(roots)}
-    action = []
-    for i in range(ngens):
-        fwd = tuple(compact[find(neighbors[c][2 * i])] for c in roots)
-        bwd = tuple(compact[find(neighbors[c][2 * i + 1])] for c in roots)
-        action.append((fwd, bwd))
-    return CayleyRealization(p, action)
+    return _breadth_first(p, lambda c, d: find(neighbors[c][d]))
