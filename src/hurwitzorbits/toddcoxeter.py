@@ -1,16 +1,18 @@
 """Coset enumeration over the trivial subgroup.
 
 Realizes a finite presentation as element ids 0..|G|-1 with total
-multiplication (the regular representation). The table is built by scanning
-every relator at every live coset, with coincidences merged through a
-union-find structure; scan order is fixed so ids are deterministic
-run-to-run.
+multiplication (the regular representation). The coset table is built by
+HLT scan-and-fill (Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, 5.1-5.2), with coincidences merged through a union-find structure
+and the Handbook's queue. Ids are breadth-first from the identity, so they
+depend only on the group and the generator order. The cap bounds live
+cosets, not the order: HLT can hold more than |G| before they collapse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from . import words
 from .presentations import Presentation
@@ -18,7 +20,9 @@ from .words import Word
 
 DEFAULT_COSET_CAP = 1_000_000
 
-_SENTINEL = -1
+
+class _Full(Exception):
+    """Defining one more coset would pass the live-coset cap."""
 
 
 @dataclass(frozen=True)
@@ -38,16 +42,14 @@ class CayleyRealization:
     ``letters[g]`` spells a shortest word for element g.
     """
 
-    def __init__(self, origin: Presentation, action: List[Tuple[Tuple[int, ...], Tuple[int, ...]]],
+    def __init__(self, origin: Presentation, action: List[Tuple[Tuple[int, ...], ...]],
                  letters: List[Tuple[words.Letter, ...]]):
         self.origin = origin
         self.action = action
         self.order = len(letters)
         self.identity_id = 0
         self._letters = letters
-        self._inverses = tuple(
-            self._follow(0, [(i, -s) for i, s in reversed(w)]) for w in letters
-        )
+        self._inverses = tuple(self._follow(0, [(i, -s) for i, s in reversed(w)]) for w in letters)
 
     def _follow(self, start: int, letters) -> int:
         c = start
@@ -82,26 +84,22 @@ class CayleyRealization:
         return self._follow(0, w.letters)
 
 
-def _breadth_first(p: Presentation, neighbor: Callable[[int, int], int]) -> CayleyRealization:
-    """Number the live cosets breadth-first from coset 0.
-
-    ``neighbor(c, d)`` is the live coset at the end of direction d (2i for
-    generator i, 2i + 1 for its inverse) from live coset c.
-    """
-    ngens = len(p.generators)
-    ids = {0: 0}
+def _breadth_first(p: Presentation, table: List[int], ncosets: int) -> CayleyRealization:
+    """Number the live cosets of a complete flat table breadth-first from 0."""
+    ndirs = 2 * len(p.generators)
+    ids = [0] + [-1] * (ncosets - 1)
     cosets = [0]
     letters: List[Tuple[words.Letter, ...]] = [()]
-    columns: List[List[int]] = [[] for _ in range(2 * ngens)]
-    for k, c in enumerate(cosets):
+    columns: List[List[int]] = [[] for _ in range(ndirs)]
+    for k, c in enumerate(cosets):  # cosets grows while this runs
         for d, column in enumerate(columns):
-            e = neighbor(c, d)
-            if e not in ids:
+            e = table[c * ndirs + d]
+            if ids[e] < 0:
                 ids[e] = len(cosets)
                 cosets.append(e)
                 letters.append(letters[k] + ((d >> 1, -1 if d & 1 else 1),))
             column.append(ids[e])
-    action = [(tuple(columns[2 * i]), tuple(columns[2 * i + 1])) for i in range(ngens)]
+    action = [(tuple(columns[d]), tuple(columns[d + 1])) for d in range(0, ndirs, 2)]
     return CayleyRealization(p, action, letters)
 
 
@@ -110,76 +108,90 @@ def enumerate_cosets(
 ) -> Union[CayleyRealization, Capped]:
     """Enumerate cosets of the trivial subgroup; the result is all of G.
 
-    Returns ``Capped`` when the number of live cosets exceeds ``coset_cap``.
+    Returns ``Capped`` when defining a coset would leave more than
+    ``coset_cap`` live cosets, which can happen with a cap at or above |G|.
     """
     if coset_cap < 1:
         raise ValueError("coset_cap must be >= 1")
-    ngens = len(p.generators)
-    ndirs = 2 * ngens
-
-    # Directions: 2i is generator i, 2i+1 its inverse. Cancellation relators
-    # keep the two directions mutually inverse.
-    rels: List[Tuple[int, ...]] = []
-    for i in range(ngens):
-        rels.append((2 * i, 2 * i + 1))
-        rels.append((2 * i + 1, 2 * i))
-    for r in p.relators:
-        rels.append(tuple(2 * idx + (0 if sign > 0 else 1) for idx, sign in r.letters))
-
-    labels: List[int] = [0]
-    neighbors: List[List[int]] = [[_SENTINEL] * ndirs]
+    # Direction 2i is generator i and 2i + 1 its inverse, so d ^ 1 inverts d.
+    # Row c of the flat table is table[c * ndirs : (c + 1) * ndirs], -1 if unknown.
+    ndirs = 2 * len(p.generators)
+    rels = [tuple(2 * idx + (sign < 0) for idx, sign in r.letters) for r in p.relators]
+    rels = [(rel, tuple(d ^ 1 for d in rel), len(rel) - 1) for rel in rels]
+    table = [-1] * ndirs
+    parent = [0]  # union-find; a coset is live when it is its own parent
+    queue: List[int] = []  # dead cosets whose entries are still to be moved
     live = 1
 
-    def find(c: int) -> int:
-        root = c
-        while labels[root] != root:
-            root = labels[root]
-        while labels[c] != root:
-            labels[c], c = root, labels[c]
-        return root
-
-    def add_vertex() -> int:
+    def define(c: int, d: int):
         nonlocal live
-        c = len(labels)
-        labels.append(c)
-        neighbors.append([_SENTINEL] * ndirs)
+        if live >= coset_cap:
+            raise _Full
+        n = len(parent)
+        parent.append(n)
+        table.extend([-1] * ndirs)
+        table[c * ndirs + d] = n
+        table[n * ndirs + (d ^ 1)] = c
         live += 1
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]  # path halving
         return c
 
-    def follow(c: int, rel: Tuple[int, ...]) -> int:
-        for d in rel:
-            c = find(c)
-            row = neighbors[c]
-            if row[d] == _SENTINEL:
-                row[d] = add_vertex()
-            c = row[d]
-        return find(c)
-
-    def unify(c1: int, c2: int):
+    def merge(a: int, b: int):
         nonlocal live
-        stack = [(c1, c2)]
-        while stack:
-            a, b = stack.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
+        a, b = find(a), find(b)
+        if a != b:
             a, b = min(a, b), max(a, b)
-            labels[b] = a
+            parent[b] = a
+            queue.append(b)
             live -= 1
-            ra, rb = neighbors[a], neighbors[b]
-            for d in range(ndirs):
-                if ra[d] == _SENTINEL:
-                    ra[d] = rb[d]
-                elif rb[d] != _SENTINEL:
-                    stack.append((ra[d], rb[d]))
 
-    to_visit = 0
-    while to_visit < len(labels):
-        if find(to_visit) == to_visit:
-            for rel in rels:
-                unify(follow(to_visit, rel), to_visit)
-            if live > coset_cap:
-                return Capped(coset_cap)
-        to_visit += 1
+    def coincidence(a: int, b: int):
+        merge(a, b)
+        for dead in queue:  # merge() appends while this runs
+            for x in range(ndirs):
+                e = table[dead * ndirs + x]
+                if e >= 0:  # move the edge dead -x-> e to the live cosets
+                    table[e * ndirs + (x ^ 1)] = -1
+                    m, n = find(dead), find(e)
+                    if table[m * ndirs + x] >= 0:
+                        merge(n, table[m * ndirs + x])
+                    elif table[n * ndirs + (x ^ 1)] >= 0:
+                        merge(m, table[n * ndirs + (x ^ 1)])
+                    else:
+                        table[m * ndirs + x] = n
+                        table[n * ndirs + (x ^ 1)] = m
+        queue.clear()
 
-    return _breadth_first(p, lambda c, d: find(neighbors[c][d]))
+    try:
+        c = 0
+        while c < len(parent):
+            for rel, back, last in rels:
+                if parent[c] != c:
+                    break
+                # Scan forward to f at position i and backward to b at j.
+                f, i, b, j = c, 0, c, last
+                while True:
+                    while i <= j and (e := table[f * ndirs + rel[i]]) >= 0:
+                        f, i = e, i + 1
+                    while j >= i and (e := table[b * ndirs + back[j]]) >= 0:
+                        b, j = e, j - 1
+                    if j < i:  # the relator closed: f and b are one coset
+                        if f != b:
+                            coincidence(f, b)
+                        break
+                    if i == j:  # deduction: the gap is one letter
+                        table[f * ndirs + rel[i]] = b
+                        table[b * ndirs + back[i]] = f
+                        break
+                    define(f, rel[i])
+            if parent[c] == c:
+                for d in range(ndirs):
+                    if table[c * ndirs + d] < 0:
+                        define(c, d)
+            c += 1
+    except _Full:
+        return Capped(coset_cap)
+    return _breadth_first(p, table, len(parent))
