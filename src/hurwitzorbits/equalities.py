@@ -438,6 +438,9 @@ def run_check(
     domain = statement.domain
     if groups is None:
         groups = default_check_groups(domain.words)
+    bare = sorted(n for n, g in groups.items() if domain.words and not isinstance(g, RealizedGroup))
+    if bare:
+        raise ValueError(f"{name} samples words, which needs a presentation; {', '.join(bare)} has none")
     targets = [(n, g, domain.pool(g)) for n, g in sorted(groups.items())]
     rng = random.Random(seed)
     if domain.words:

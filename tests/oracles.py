@@ -152,7 +152,7 @@ def cyc_add(x, y):
     return tuple(a + b for a, b in zip(x, y))
 
 
-def _mat_mul(A, B):
+def mat_mul(A, B):
     return tuple(
         tuple(
             cyc_add(cyc_mul(A[i][0], B[0][j]), cyc_mul(A[i][1], B[1][j]))
@@ -170,13 +170,15 @@ def matrix_closure_order(generators) -> int:
         new = []
         for m in frontier:
             for g in generators:
-                x = _mat_mul(m, g)
+                x = mat_mul(m, g)
                 if x not in elements:
                     elements.add(x)
                     new.append(x)
         frontier = new
     return len(elements)
 
+
+MATRIX_IDENTITY = ((_ONE, _ZERO), (_ZERO, _ONE))
 
 _W = (F(-1), F(0), F(1), F(0))  # w = z^4, primitive cube root of unity
 _SQRT3 = (F(0), F(2), F(0), F(-1))  # z + z^11
@@ -201,6 +203,49 @@ G6_MATRIX_GENERATORS = (
         (_ONE, tuple(-v for v in _P)),
     ),
 )
+
+
+# --- Cayley tables and Coxeter data -------------------------------------------
+
+
+def cayley_tables(generators, multiply, inverse, identity):
+    """A concrete group's generator tables, in ``CayleyRealization.action`` form.
+
+    Elements are numbered breadth-first from the identity: each element in
+    turn, each generator in order, the product by the generator before the
+    product by its inverse. ``tables[i][0][x]`` is the id of x g_i and
+    ``tables[i][1][x]`` the id of x g_i^-1.
+    """
+    steps = [s for g in generators for s in (g, inverse(g))]
+    ids = {identity: 0}
+    elements = [identity]
+    columns = [[] for _ in steps]
+    for x in elements:  # elements grows while this runs
+        for step, column in zip(steps, columns):
+            y = multiply(x, step)
+            if y not in ids:
+                ids[y] = len(elements)
+                elements.append(y)
+            column.append(ids[y])
+    return [(tuple(columns[i]), tuple(columns[i + 1])) for i in range(0, len(steps), 2)]
+
+
+def coxeter_matrix(n, edges):
+    """Coxeter matrix of rank n: m_ij from (i, j, m) edges, 2 elsewhere."""
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, j, mij in edges:
+        m[i][j] = m[j][i] = mij
+    return m
+
+
+def coxeter_chain(*labels):
+    """A linear diagram s1 - s2 - ... with the given edge labels."""
+    return coxeter_matrix(len(labels) + 1, [(i, i + 1, m) for i, m in enumerate(labels)])
+
+
+def coxeter_d(n):
+    """Type D_n: a chain of n - 1 nodes with s_n joined to s_(n-2)."""
+    return coxeter_matrix(n, [(i, i + 1, 3) for i in range(n - 2)] + [(n - 3, n - 1, 3)])
 
 
 # --- independent orbit traversal ----------------------------------------------

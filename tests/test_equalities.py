@@ -204,6 +204,12 @@ def test_run_check_rejects_negative_exponent_range(s3):
         run_check("closed-form", samples=2, groups={"S3": s3}, exponent_range=-2)
 
 
+@pytest.mark.parametrize("name", ["double-reverse", "mirror-moves"])
+def test_run_check_word_suite_needs_a_presentation(s3, g4_group, name):
+    with pytest.raises(ValueError, match="needs a presentation; S3 has none"):
+        run_check(name, samples=2, groups={"S3": s3, "G4": g4_group})
+
+
 def test_run_check_deterministic():
     a = run_check("cycle", samples=10, seed=9)
     b = run_check("cycle", samples=10, seed=9)

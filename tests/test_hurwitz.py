@@ -1,9 +1,20 @@
 import json
+import math
 import random
 
 import pytest
 
-from oracles import dihedral_permutation_group, orbit_dfs, transposition_pair_orbits
+from oracles import (
+    coxeter_chain,
+    coxeter_d,
+    dihedral_permutation_group,
+    orbit_dfs,
+    transposition_pair_orbits,
+)
+
+from hurwitzorbits import presentations as P
+from hurwitzorbits import words
+from hurwitzorbits.groups import RealizedGroup
 
 from hurwitzorbits.hurwitz import (
     FORWARD,
@@ -20,6 +31,7 @@ from hurwitzorbits.hurwitz import (
     product,
     same_orbit,
 )
+from hurwitzorbits.toddcoxeter import enumerate_cosets
 
 
 def fz(group, *factors):
@@ -237,3 +249,33 @@ def test_orbit_deterministic(g4_group):
     f = fz(g4_group, els[1], els[2], els[3])
     assert orbit(f).members == orbit(f).members
     assert export_orbit_graph(orbit(f)) == export_orbit_graph(orbit(f))
+
+
+# Well-generated reflection groups W of rank n with |W| and the Coxeter
+# number h from the classification (Humphreys, Reflection Groups and Coxeter
+# Groups, 2.11 and 3.18; G25 from Shephard and Todd): name -> (presentation
+# on the simple reflections, |W|, h).
+COXETER_ELEMENT_CASES = {
+    "A4": (lambda: P.coxeter(coxeter_chain(3, 3, 3)), 120, 5),
+    "B4": (lambda: P.coxeter(coxeter_chain(3, 3, 4)), 384, 8),
+    "D4": (lambda: P.coxeter(coxeter_d(4)), 192, 6),
+    "F4": (lambda: P.coxeter(coxeter_chain(3, 4, 3)), 1152, 12),
+    "H3": (lambda: P.coxeter(coxeter_chain(5, 3)), 120, 10),
+    "D5": (lambda: P.coxeter(coxeter_d(5)), 1920, 8),
+    "B5": (lambda: P.coxeter(coxeter_chain(3, 3, 3, 4)), 3840, 10),
+    "A6": (lambda: P.coxeter(coxeter_chain(3, 3, 3, 3, 3)), 5040, 7),
+    "G25": (lambda: P.shephard([3, 3, 3], [3, 3]), 648, 12),
+}
+
+
+@pytest.mark.parametrize("name", COXETER_ELEMENT_CASES)
+def test_coxeter_element_orbit_size(name):
+    # The orbit of (s_1, ..., s_n), whose product is a Coxeter element, has
+    # n! h^n / |W| members (Deligne 1974; Bessis, Ann. of Math. 2015).
+    make, order, h = COXETER_ELEMENT_CASES[name]
+    pres = make()
+    group = RealizedGroup(enumerate_cosets(pres), name=name)
+    n = len(pres.generators)
+    reflections = tuple(group.evaluate_word(words.generator(pres.generators, i)) for i in range(n))
+    assert group.order == order
+    assert orbit_size(Factorization(group, reflections)) == Finite(math.factorial(n) * h**n // order)

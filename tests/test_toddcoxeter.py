@@ -5,8 +5,12 @@ import pytest
 from oracles import (
     G4_MATRIX_GENERATORS,
     G6_MATRIX_GENERATORS,
+    MATRIX_IDENTITY,
+    cayley_tables,
+    coxeter_chain,
     dihedral_permutation_group,
     element_order_multiset,
+    mat_mul,
     matrix_closure_order,
 )
 
@@ -173,3 +177,79 @@ def test_deterministic_ids():
     a = enumerate_cosets(P.g6())
     b = enumerate_cosets(P.g6())
     assert a.action == b.action
+
+
+# --- breadth-first ids against concrete groups ------------------------------
+
+
+def _compose(p, q):
+    """The permutation p, then q."""
+    return tuple(q[i] for i in p)
+
+
+def _perm_inverse(p):
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def _swaps(n, *pairs):
+    perm = list(range(n))
+    for i, j in pairs:
+        perm[i], perm[j] = perm[j], perm[i]
+    return tuple(perm)
+
+
+def _matrix_inverse(m):
+    power = m
+    while mat_mul(power, m) != MATRIX_IDENTITY:
+        power = mat_mul(power, m)
+    return power
+
+
+def _permutations(n, generators):
+    return (generators, _compose, _perm_inverse, tuple(range(n)))
+
+
+def _dihedral(n):
+    group = dihedral_permutation_group(n)
+    return P.dihedral_rs(n), (group.generator_keys, group.multiply, group.inverse, group.identity)
+
+
+def _type_a(n):
+    # A_n is S_(n+1), generated by the adjacent transpositions
+    adjacent = [_swaps(n + 1, (i, i + 1)) for i in range(n)]
+    return P.coxeter(coxeter_chain(*[3] * (n - 1))), _permutations(n + 1, adjacent)
+
+
+def _b4():
+    # signed permutations of 4 letters: point k is +e_k and point k + 4 is -e_k
+    adjacent = [_swaps(8, (i, i + 1), (i + 4, i + 5)) for i in range(3)]
+    sign_change = _swaps(8, (3, 7))
+    return P.coxeter(coxeter_chain(3, 3, 4)), _permutations(8, adjacent + [sign_change])
+
+
+# name -> (presentation, concrete group as cayley_tables arguments)
+ORACLE_GROUPS = {
+    **{f"D{2 * n}": lambda n=n: _dihedral(n) for n in range(3, 13)},
+    "G4": lambda: (P.g4(), (G4_MATRIX_GENERATORS, mat_mul, _matrix_inverse, MATRIX_IDENTITY)),
+    "G6": lambda: (P.g6(), (G6_MATRIX_GENERATORS, mat_mul, _matrix_inverse, MATRIX_IDENTITY)),
+    "A4": lambda: _type_a(4),
+    "A5": lambda: _type_a(5),
+    "B4": _b4,
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_tables_match_breadth_first_oracle(name):
+    pres, concrete = ORACLE_GROUPS[name]()
+    assert enumerate_cosets(pres).action == cayley_tables(*concrete)
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_cap_below_the_order_is_capped(name):
+    # the cap bounds live cosets, and a complete table has |G| of them
+    pres, concrete = ORACLE_GROUPS[name]()
+    order = len(cayley_tables(*concrete)[0][0])
+    assert enumerate_cosets(pres, coset_cap=order - 1) == Capped(order - 1)
