@@ -39,10 +39,11 @@ class CayleyRealization:
     generator g (sign 0) or its inverse (sign 1). Id 0 is the identity, and
     ids are breadth-first from it (generators in declaration order, each
     before its inverse), so they depend only on the Cayley graph.
-    ``letters[g]`` spells a shortest word for element g.
+    ``letters[g]`` spells a shortest word for element g; a ``Word`` is
+    made from it only when asked for.
     """
 
-    def __init__(self, origin: Presentation, action: List[Tuple[Tuple[int, ...], ...]],
+    def __init__(self, origin: Presentation, action: List[Tuple[Tuple[int, ...], Tuple[int, ...]]],
                  letters: List[Tuple[words.Letter, ...]]):
         self.origin = origin
         self.action = action

@@ -15,7 +15,6 @@ from oracles import (
 from hurwitzorbits import presentations as P
 from hurwitzorbits import words
 from hurwitzorbits.groups import RealizedGroup
-
 from hurwitzorbits.hurwitz import (
     FORWARD,
     INVERSE,
@@ -253,8 +252,8 @@ def test_orbit_deterministic(g4_group):
 
 # Well-generated reflection groups W of rank n with |W| and the Coxeter
 # number h from the classification (Humphreys, Reflection Groups and Coxeter
-# Groups, 2.11 and 3.18; G25 from Shephard and Todd): name -> (presentation
-# on the simple reflections, |W|, h).
+# Groups, ch. 2-3; G25 from Shephard and Todd): name -> (presentation on the
+# simple reflections, |W|, h).
 COXETER_ELEMENT_CASES = {
     "A4": (lambda: P.coxeter(coxeter_chain(3, 3, 3)), 120, 5),
     "B4": (lambda: P.coxeter(coxeter_chain(3, 3, 4)), 384, 8),
