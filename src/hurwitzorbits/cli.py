@@ -196,9 +196,10 @@ def cmd_orbit(args) -> int:
     if args.graph:
         o = hurwitz.orbit(f, args.node_cap)
         try:
-            print(hurwitz.export_orbit_graph(o, args.graph, self_loops=args.self_loops))
+            sys.stdout.writelines(hurwitz._graph_text(o, args.graph, args.self_loops))
         except hurwitz.CappedOrbitError as exc:
             raise CliError(str(exc), code=EXIT_INCONCLUSIVE) from exc
+        print()
         return EXIT_OK
     size = hurwitz.orbit_size(f, args.node_cap)
     if args.format == "json":

@@ -229,10 +229,13 @@ def same_orbit(
     return "unknown" if capped else "no"
 
 
-def export_orbit_graph(
-    o: Orbit, format: str = "dot", self_loops: bool = False
-) -> str:
+def export_orbit_graph(o: Orbit, format: str = "dot", self_loops: bool = False) -> str:
     """Render an orbit as DOT or JSON; edges are forward moves labeled s_i."""
+    return "".join(_graph_text(o, format, self_loops))
+
+
+def _graph_text(o: Orbit, format: str, self_loops: bool):
+    """The text of ``export_orbit_graph``, one piece per vertex and per edge."""
     if o.capped:
         raise CappedOrbitError(
             "orbit is capped; rerun with a larger node cap to export the graph"
@@ -240,7 +243,6 @@ def export_orbit_graph(
     if format not in ("dot", "json"):
         raise ValueError("format must be 'dot' or 'json'")
     group = o.base.group
-    length = len(o.base.factors)
     vertices = sorted(o.members)
     index = {t: k for k, t in enumerate(vertices)}
     # each element is named once, not once per occurrence
@@ -249,27 +251,28 @@ def export_orbit_graph(
     def label(t):
         return "(" + ", ".join(map(names.__getitem__, t)) + ")"
 
-    edges = []
-    for t, k in index.items():
-        for i in range(1, length):
-            a, b = t[i - 1], t[i]
-            if a == b and not self_loops:
-                continue  # a forward move fixes (a, a) and nothing else
-            u = t[: i - 1] + (b, group.move_images(a, b)[0]) + t[i + 1 :]
-            edges.append((k, index[u], i))
+    def edges():
+        for k, t in enumerate(vertices):
+            for i in range(1, len(t)):
+                a, b = t[i - 1], t[i]
+                if a == b and not self_loops:
+                    continue  # a forward move fixes (a, a) and nothing else
+                u = t[: i - 1] + (b, group.move_images(a, b)[0]) + t[i + 1 :]
+                yield k, index[u], i
 
-    if format == "json":
-        return json.dumps(
-            {
-                "vertices": [label(t) for t in vertices],
-                "edges": [{"from": a, "to": b, "move": i} for a, b, i in edges],
-            },
-            indent=2,
-        )
-    lines = ["digraph hurwitz_orbit {"]
-    for t in vertices:
-        lines.append(f'  v{index[t]} [label="{label(t)}"];')
-    for a, b, i in edges:
-        lines.append(f'  v{a} -> v{b} [label="s{i}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    if format == "json":  # the layout of json.dumps(indent=2), labels escaped by json.dumps
+        yield '{\n  "vertices": [\n    ' + json.dumps(label(vertices[0]))
+        for t in vertices[1:]:
+            yield ",\n    " + json.dumps(label(t))
+        sep = '\n  ],\n  "edges": ['
+        for a, b, i in edges():
+            yield f'{sep}\n    {{\n      "from": {a},\n      "to": {b},\n      "move": {i}\n    }}'
+            sep = ","
+        yield "\n  ]\n}" if sep == "," else sep + "]\n}"  # json.dumps writes no edge as []
+        return
+    yield "digraph hurwitz_orbit {"
+    for k, t in enumerate(vertices):
+        yield f'\n  v{k} [label="{label(t)}"];'
+    for a, b, i in edges():
+        yield f'\n  v{a} -> v{b} [label="s{i}"];'
+    yield "\n}"

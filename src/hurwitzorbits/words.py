@@ -47,6 +47,12 @@ class Word:
         return render(self)
 
 
+def _valid(alphabet: Alphabet, letters: Tuple[Letter, ...]) -> Word:
+    w = object.__new__(Word)  # letters known valid and reduced: skip __post_init__
+    w.__dict__.update(alphabet=alphabet, letters=letters)
+    return w
+
+
 def empty(alphabet: Alphabet) -> Word:
     return Word(tuple(alphabet), ())
 
@@ -83,16 +89,16 @@ def concat(u: Word, v: Word) -> Word:
             out.pop()
         else:
             out.append((idx, sign))
-    return Word(u.alphabet, tuple(out))
+    return _valid(u.alphabet, tuple(out))
 
 
 def invert(w: Word) -> Word:
-    return Word(w.alphabet, tuple((i, -s) for i, s in reversed(w.letters)))
+    return _valid(w.alphabet, tuple((i, -s) for i, s in reversed(w.letters)))
 
 
 def reverse(w: Word) -> Word:
     """Letters in reversed order, signs unchanged (the * operation)."""
-    return Word(w.alphabet, tuple(reversed(w.letters)))
+    return _valid(w.alphabet, tuple(reversed(w.letters)))
 
 
 def is_palindrome(w: Word) -> bool:

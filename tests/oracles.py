@@ -6,6 +6,7 @@ interface, and the orbit oracle deliberately uses a different traversal
 """
 
 import itertools
+import json
 from fractions import Fraction as F
 
 from hurwitzorbits.groups import Group, PermutationGroup
@@ -342,3 +343,55 @@ def orbit_census(group, n):
             orbit_of.update(dict.fromkeys(members, len(sizes)))
             sizes.append(len(members))
     return table, orbit_of, sizes
+
+
+# --- whole-text graph export ----------------------------------------------------
+
+
+def export_orbit_graph_reference(o, format="dot", self_loops=False):
+    """The graph export as one whole object: a list of edges, then json.dumps.
+
+    The library writes the same text piece by piece; this is the export it
+    replaced, kept as the byte-for-byte reference (a capped orbit raises
+    ``ValueError`` here, so nothing but ``Group`` is imported).
+    """
+    if o.capped:
+        raise ValueError(
+            "orbit is capped; rerun with a larger node cap to export the graph"
+        )
+    if format not in ("dot", "json"):
+        raise ValueError("format must be 'dot' or 'json'")
+    group = o.base.group
+    length = len(o.base.factors)
+    vertices = sorted(o.members)
+    index = {t: k for k, t in enumerate(vertices)}
+    # each element is named once, not once per occurrence
+    names = {x: group.element_name(x) for x in {x for t in vertices for x in t}}
+
+    def label(t):
+        return "(" + ", ".join(map(names.__getitem__, t)) + ")"
+
+    edges = []
+    for t, k in index.items():
+        for i in range(1, length):
+            a, b = t[i - 1], t[i]
+            if a == b and not self_loops:
+                continue  # a forward move fixes (a, a) and nothing else
+            u = t[: i - 1] + (b, group.move_images(a, b)[0]) + t[i + 1 :]
+            edges.append((k, index[u], i))
+
+    if format == "json":
+        return json.dumps(
+            {
+                "vertices": [label(t) for t in vertices],
+                "edges": [{"from": a, "to": b, "move": i} for a, b, i in edges],
+            },
+            indent=2,
+        )
+    lines = ["digraph hurwitz_orbit {"]
+    for t in vertices:
+        lines.append(f'  v{index[t]} [label="{label(t)}"];')
+    for a, b, i in edges:
+        lines.append(f'  v{a} -> v{b} [label="s{i}"];')
+    lines.append("}")
+    return "\n".join(lines)

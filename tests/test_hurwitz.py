@@ -8,6 +8,7 @@ from oracles import (
     coxeter_chain,
     coxeter_d,
     dihedral_permutation_group,
+    export_orbit_graph_reference,
     orbit_dfs,
     transposition_pair_orbits,
 )
@@ -241,6 +242,50 @@ def test_export_rejects_capped(s4):
 def test_export_rejects_unknown_format(s3):
     with pytest.raises(ValueError):
         export_orbit_graph(orbit(fz(s3, 0, 0)), "svg")
+
+
+def _word_factors(group, text):
+    alphabet = group.realization.origin.generators
+    return [group.evaluate_word(P.parse_word(alphabet, w)) for w in text.split()]
+
+
+NON_ASCII = "<σ, τ | σ^2, τ^2, σ τ σ τ σ τ>"
+
+# name -> (group fixture or presentation, factors); the last two orbits have
+# no edge without self-loops, and JSON escapes the names of "non-ascii"
+GRAPH_CASES = {
+    "s3": ("s3", [(1, 0, 2), (0, 2, 1)]),
+    "s4-chain": ("s4", [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]),
+    "g4-abab": ("g4_group", "a b a b"),
+    "g4-aabb": ("g4_group", "a a b b"),
+    "g6-ababa": ("g6_group", "a b a b a"),
+    "non-ascii": (NON_ASCII, "σ τ"),
+    "length-1": ("g4_group", "a"),
+    "x-x": ("g4_group", "b b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+def test_export_matches_whole_text_reference(case, request):
+    source, factors = GRAPH_CASES[case]
+    if source.startswith("<"):
+        group = RealizedGroup(enumerate_cosets(P.parse_presentation(source)), name="S3")
+    else:
+        group = request.getfixturevalue(source)
+    if isinstance(factors, str):
+        keys = _word_factors(group, factors)
+    else:
+        keys = [group.key_of(perm) for perm in factors]
+    o = orbit(fz(group, *keys))
+    for fmt in ("dot", "json"):
+        for self_loops in (False, True):
+            text = export_orbit_graph(o, fmt, self_loops=self_loops)
+            assert text == export_orbit_graph_reference(o, fmt, self_loops=self_loops)
+    if case in ("length-1", "x-x"):
+        assert export_orbit_graph(o, "json").endswith('"edges": []\n}')
+    if case == "non-ascii":
+        assert "\\u03c3" in export_orbit_graph(o, "json")
+        assert "σ" in export_orbit_graph(o, "dot")
 
 
 def test_orbit_deterministic(g4_group):
