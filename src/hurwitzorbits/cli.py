@@ -196,7 +196,7 @@ def cmd_orbit(args) -> int:
     if args.graph:
         o = hurwitz.orbit(f, args.node_cap)
         try:
-            sys.stdout.writelines(hurwitz._graph_text(o, args.graph, args.self_loops))
+            sys.stdout.writelines(hurwitz.orbit_graph_pieces(o, args.graph, args.self_loops))
         except hurwitz.CappedOrbitError as exc:
             raise CliError(str(exc), code=EXIT_INCONCLUSIVE) from exc
         print()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Literal, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, List, Literal, Optional, Sequence, Tuple, Union
 
 from .groups import Group
 
@@ -229,12 +229,14 @@ def same_orbit(
     return "unknown" if capped else "no"
 
 
-def export_orbit_graph(o: Orbit, format: str = "dot", self_loops: bool = False) -> str:
+def export_orbit_graph(
+    o: Orbit, format: str = "dot", self_loops: bool = False
+) -> str:
     """Render an orbit as DOT or JSON; edges are forward moves labeled s_i."""
-    return "".join(_graph_text(o, format, self_loops))
+    return "".join(orbit_graph_pieces(o, format, self_loops))
 
 
-def _graph_text(o: Orbit, format: str, self_loops: bool):
+def orbit_graph_pieces(o: Orbit, format: str, self_loops: bool) -> Iterator[str]:
     """The text of ``export_orbit_graph``, one piece per vertex and per edge."""
     if o.capped:
         raise CappedOrbitError(

@@ -62,9 +62,10 @@ def generator(alphabet: Alphabet, index: int, sign: int = 1) -> Word:
     return Word(tuple(alphabet), ((index, sign),))
 
 
-def _reduce(raw: Iterable[Letter]) -> Tuple[Letter, ...]:
-    # Single left-to-right pass, cancelling against the last emitted letter.
-    out: list[Letter] = []
+def _reduce(raw: Iterable[Letter], prefix: Tuple[Letter, ...] = ()) -> Tuple[Letter, ...]:
+    # Single left-to-right pass after a reduced prefix, cancelling against
+    # the last emitted letter.
+    out: list[Letter] = list(prefix)
     for idx, sign in raw:
         if out and out[-1][0] == idx and out[-1][1] != sign:
             out.pop()
@@ -83,13 +84,7 @@ def concat(u: Word, v: Word) -> Word:
         raise AlphabetMismatchError(
             f"cannot concatenate words over alphabets {u.alphabet} and {v.alphabet}"
         )
-    out = list(u.letters)
-    for idx, sign in v.letters:
-        if out and out[-1][0] == idx and out[-1][1] != sign:
-            out.pop()
-        else:
-            out.append((idx, sign))
-    return _valid(u.alphabet, tuple(out))
+    return _valid(u.alphabet, _reduce(v.letters, u.letters))
 
 
 def invert(w: Word) -> Word:

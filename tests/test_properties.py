@@ -9,6 +9,9 @@ import json
 from collections import Counter
 
 import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
