@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import List, Optional, Tuple
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILURE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by the signal
 
 _SYMMETRIC = re.compile(r"^s([1-8])$")
 
@@ -399,13 +401,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit-time flush
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (PresentationSyntaxError, ValueError, words.AlphabetMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # the reader left early, as ``| head`` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a quiet final flush
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

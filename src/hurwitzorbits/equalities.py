@@ -2,9 +2,10 @@
 
 ``STATEMENTS`` is the one table of the statements: each CLI name maps to an
 input domain and a transform. ``run_check`` draws inputs from the domain,
-computes both orbit sizes and compares them, never assuming the statement,
-so a bug shows up as a failing check, not a silent shortcut. The two
-identities, ``closed-form`` and ``mirror-moves``, return failure lines.
+sizes both orbits with ``orbit_size`` and compares them, never assuming the
+statement, so a bug shows as a failing check, not a silent shortcut. The
+identities ``closed-form`` and ``mirror-moves`` return failure lines. The
+scan sizes each multiset's permutations in one ``orbit_sizes`` batch.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .hurwitz import (
     Finite,
     hurwitz_move,
     orbit_size,
+    orbit_sizes,
 )
 from .toddcoxeter import enumerate_cosets
 from .words import Word
@@ -170,8 +172,8 @@ def conjecture_scan(
 ) -> ConjectureScanReport:
     """Orbit sizes of all permutations of multisets over {a, b, a^-1} in G6.
 
-    Any multiset whose permutations show more than one orbit size is flagged
-    as a counterexample candidate.
+    Each orbit among a multiset's permutations is searched once; a multiset
+    whose permutations show more than one size is a counterexample candidate.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -191,9 +193,9 @@ def conjecture_scan(
             label = "{" + ", ".join(letters[i][0] for i in combo) + "}"
             sizes = set()
             any_capped = False
-            for perm in sorted(set(itertools.permutations(combo))):
-                f = Factorization(group, tuple(letters[i][1] for i in perm))
-                s = orbit_size(f, node_cap)
+            perms = sorted(set(itertools.permutations(combo)))
+            fs = [Factorization(group, tuple(letters[i][1] for i in perm)) for perm in perms]
+            for perm, s in zip(perms, orbit_sizes(fs, node_cap)):
                 capped = isinstance(s, AtLeast)
                 any_capped = any_capped or capped
                 size = None if capped else s.size

@@ -206,10 +206,31 @@ def orbit(f: Factorization, node_cap: int = DEFAULT_NODE_CAP) -> Orbit:
 
 
 def orbit_size(f: Factorization, node_cap: int = DEFAULT_NODE_CAP) -> OrbitSize:
-    seen, capped, _, _ = _explore(f, node_cap)
-    if capped:
-        return AtLeast(node_cap)
-    return Finite(len(seen))
+    return orbit_sizes([f], node_cap)[0]
+
+
+def orbit_sizes(fs: Sequence[Factorization], node_cap: int = DEFAULT_NODE_CAP) -> List[OrbitSize]:
+    """The orbit size of each factorization in ``fs``, one search per orbit met.
+
+    A capped search gives ``AtLeast(node_cap)`` to every tuple among its states,
+    as their own searches would: any search caps iff its orbit exceeds the cap.
+    """
+    if any(f.group is not fs[0].group for f in fs):
+        raise ValueError("factorizations live in different groups")
+    out: List[Optional[OrbitSize]] = [None] * len(fs)
+    for i, f in enumerate(fs):
+        if out[i] is None:
+            seen, capped, _, keys = _explore(f, node_cap)
+            size = AtLeast(node_cap) if capped else Finite(len(seen))
+            index = {x: k for k, x in enumerate(keys)}
+            bits = _width(keys)
+            for j, t in enumerate(g.factors for g in fs):
+                # a factor the search never met puts the tuple outside its orbit
+                if out[j] is None and len(t) == len(f.factors) and all(x in index for x in t):
+                    if sum(index[x] << bits * k for k, x in enumerate(reversed(t))) in seen:
+                        out[j] = size
+            del seen  # free the orbit before the next search builds its own
+    return out
 
 
 def same_orbit(

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hurwitzorbits
 from hurwitzorbits import equalities
 from hurwitzorbits.cli import (
     EXIT_FAILURE,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_USAGE,
     main,
 )
@@ -338,6 +344,21 @@ def test_check_rejects_vacuous_runs(capsys, argv):
 def test_removed_options_are_usage_errors(capsys, argv):
     assert main(argv) == EXIT_USAGE
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # about 520 KB of DOT, far more than a pipe buffers, so the writer
+    # is still writing when the reader goes away
+    argv = ["orbit", "--builtin", "g6", "a b a b a", "--graph", "dot"]
+    src = str(Path(hurwitzorbits.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "hurwitzorbits.cli", *argv]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(40).startswith(b"digraph hurwitz_orbit {")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_PIPE
+    assert err == b""
 
 
 def test_no_command_is_usage(capsys):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from hurwitzorbits import equalities
+from hurwitzorbits import equalities, hurwitz
 from hurwitzorbits import presentations as P
 from hurwitzorbits import words
 from hurwitzorbits.equalities import (
@@ -28,8 +28,10 @@ from hurwitzorbits.hurwitz import (
     DEFAULT_NODE_CAP,
     FORWARD,
     INVERSE,
+    AtLeast,
     Factorization,
     hurwitz_move,
+    orbit_size,
     product,
 )
 
@@ -159,6 +161,34 @@ def test_conjecture_scan_small(g6_group):
     csv = report.to_csv()
     assert csv.startswith("multiset,permutation,orbit_size,capped\n")
     assert "counterexample candidates: 0" in report.summary()
+
+
+@pytest.mark.parametrize("node_cap", [DEFAULT_NODE_CAP, 7])
+def test_conjecture_scan_searches_each_orbit_once(monkeypatch, g6_group, node_cap):
+    explore = hurwitz._explore
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(args[0].factors)
+        return explore(*args, **kwargs)
+
+    monkeypatch.setattr(hurwitz, "_explore", counted)
+    rows = conjecture_scan(g6_group, 5, node_cap).rows
+    # 363 permutations of the 55 multisets lie in 129 orbits
+    assert len(rows) == 363
+    if node_cap == DEFAULT_NODE_CAP:
+        assert len(searches) == 129
+    alphabet = g6_group.realization.origin.generators
+    letters = {
+        "a": g6_group.evaluate_word(words.generator(alphabet, 0, 1)),
+        "b": g6_group.evaluate_word(words.generator(alphabet, 1, 1)),
+        "a^-1": g6_group.evaluate_word(words.generator(alphabet, 0, -1)),
+    }
+    for row in rows:
+        f = Factorization(g6_group, tuple(letters[x] for x in row.permutation[1:-1].split(", ")))
+        s = orbit_size(f, node_cap)
+        capped = isinstance(s, AtLeast)
+        assert (row.orbit_size, row.capped) == (None if capped else s.size, capped), row
 
 
 def test_conjecture_scan_validates(g6_group):

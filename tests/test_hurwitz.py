@@ -28,6 +28,7 @@ from hurwitzorbits.hurwitz import (
     hurwitz_move,
     orbit,
     orbit_size,
+    orbit_sizes,
     product,
     same_orbit,
 )
@@ -153,6 +154,46 @@ def test_orbit_in_a_subgroup_with_dense_keys():
 def test_node_cap_validation(s3):
     with pytest.raises(ValueError):
         orbit_size(fz(s3, 0, 0), node_cap=0)
+
+
+def _dfs_size(group, factors, node_cap=10_000_000):
+    members, capped = orbit_dfs(group, factors, node_cap)
+    return AtLeast(node_cap) if capped else Finite(len(members))
+
+
+ORBIT_SIZE_BATCHES = {
+    # (t12, t12) is fixed, so its search never meets t23 or t34
+    "outside the first closure": ((1, 1), (1, 2), (2, 1), (1, 1), (3, 2)),
+    "duplicates and several orbits": ((1, 2), (2, 3), (1, 2), (3, 1), (2, 3), (1, 2)),
+    "mixed lengths": ((1, 2, 1), (1,), (2, 1), (1, 2, 1), (2,), (3, 2, 1), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("node_cap", [10_000_000, 6])
+@pytest.mark.parametrize("case", sorted(ORBIT_SIZE_BATCHES))
+def test_orbit_sizes_matches_per_tuple_and_dfs(s4, case, node_cap):
+    t = {1: s4.key_of((1, 0, 2, 3)), 2: s4.key_of((0, 2, 1, 3)), 3: s4.key_of((0, 1, 3, 2))}
+    fs = [Factorization(s4, tuple(t[k] for k in ks)) for ks in ORBIT_SIZE_BATCHES[case]]
+    sizes = orbit_sizes(fs, node_cap)
+    assert sizes == [orbit_size(f, node_cap) for f in fs]
+    assert sizes == [_dfs_size(s4, f.factors, node_cap) for f in fs]
+
+
+def test_orbit_sizes_caps_some_searches_but_not_others(g4_group):
+    rng = random.Random(7)
+    els = list(g4_group.elements())
+    fs = [fz(g4_group, *(rng.choice(els) for _ in range(rng.choice((2, 3, 4))))) for _ in range(40)]
+    fs += fs[::3]  # duplicates of earlier tuples, answered by their searches
+    sizes = orbit_sizes(fs, node_cap=50)
+    assert AtLeast(50) in sizes and any(isinstance(s, Finite) for s in sizes)
+    assert sizes == [orbit_size(f, node_cap=50) for f in fs]
+    assert sizes == [_dfs_size(g4_group, f.factors, 50) for f in fs]
+
+
+def test_orbit_sizes_rejects_mixed_groups(s3, s4):
+    assert orbit_sizes([]) == []
+    with pytest.raises(ValueError, match="different groups"):
+        orbit_sizes([fz(s3, 1, 2), fz(s4, 1, 2)])
 
 
 def test_same_orbit_yes(s3):

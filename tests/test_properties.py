@@ -27,6 +27,7 @@ from hurwitzorbits.hurwitz import (
     hurwitz_move,
     orbit,
     orbit_size,
+    orbit_sizes,
     product,
 )
 
@@ -115,6 +116,23 @@ def test_exported_edges_are_forward_moves(group_and_length, data, self_loops):
         1 for t in vertices for i in range(1, len(t)) if self_loops or t[i - 1] != t[i]
     )
     assert len(graph["edges"]) == moving
+
+
+@pytest.mark.parametrize("name", ["s4", "g6_group"])
+@given(data=st.data(), node_cap=st.sampled_from([10_000_000, 5]))
+@SMALL
+def test_orbit_sizes_matches_orbit_size_per_tuple(request, name, data, node_cap):
+    group = request.getfixturevalue(name)
+    # one to three drawn tuples, each followed by up to three members of its
+    # orbit, then shuffled
+    fs = []
+    for _ in range(data.draw(st.integers(1, 3), label="seeds")):
+        f, o = _draw_orbit(data, group, GROUPS[name])
+        members = sorted(o.members)
+        picks = data.draw(st.lists(st.sampled_from(members), max_size=3), label="members")
+        fs += [f] + [Factorization(group, t) for t in picks]
+    fs = data.draw(st.permutations(fs), label="order")
+    assert orbit_sizes(fs, node_cap) == [orbit_size(f, node_cap) for f in fs]
 
 
 FIRST = "abstxyzABστ_"
