@@ -3,8 +3,8 @@
 The forward move at position i (1-based, 1 <= i <= len-1) sends
 (..., x_i, x_{i+1}, ...) to (..., x_{i+1}, x_{i+1}^-1 x_i x_{i+1}, ...);
 the inverse move sends it to (..., x_i x_{i+1} x_i^-1, x_i, ...). Both
-preserve the left-to-right product, and orbits are breadth-first closures
-under all moves in both directions.
+preserve the left-to-right product. An orbit is the BFS closure under forward
+moves alone: each permutes the finite set G^n, so a power of it is its inverse.
 
 Both moves rewrite one adjacent pair of factors by conjugation. Every move
 here, in the orbit search, in ``hurwitz_move`` and in the graph export,
@@ -108,17 +108,15 @@ def _explore(
     node_cap: int,
     target: Optional[Tuple[int, ...]] = None,
 ):
-    """BFS closure under all moves. Returns (seen, capped, found_target, keys).
+    """BFS closure under forward moves. Returns (seen, capped, found_target, keys).
 
+    A capped search holds the first ``node_cap`` states the forward search meets.
     A state packs local indices into ``keys`` as fixed-width digits of one
     integer, so set membership stays cheap on large orbits; ``_unpack_all``
     turns states back into tuples. ``keys`` numbers the factors in the order
     the search meets them, and the digits are as narrow as that count allows.
-    A move rewrites one adjacent pair of digits through a table that is
-    filled the first time the pair is met, from ``Group.move_images``, so
-    the work is bounded by the orbit. A search that meets more factors than
-    its digits hold starts again with wider ones; that happens at most once
-    per doubling of the count.
+    A search that meets more factors than its digits hold starts again with
+    wider ones; that happens at most once per doubling of the count.
     """
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
@@ -131,10 +129,16 @@ def _explore(
 
 
 def _search(f: Factorization, node_cap: int, target: Optional[Tuple[int, ...]], keys: List[int]):
+    """A forward move XORs the state with a delta set by the pair it rewrites.
+
+    Each position's table maps a packed pair to its delta, shifted into
+    place and filled from ``Group.move_images`` when the pair is first met,
+    so the work is bounded by the orbit. (a, a), which the move fixes, gets 0.
+    """
     move_images = f.group.move_images
     index = {x: k for k, x in enumerate(keys)}
     bits = _width(keys)
-    mask = (1 << bits) - 1
+    mask, pair_mask = (1 << bits) - 1, (1 << 2 * bits) - 1
 
     def local(x: int) -> int:
         k = index.get(x)
@@ -145,47 +149,43 @@ def _search(f: Factorization, node_cap: int, target: Optional[Tuple[int, ...]], 
                 raise _Widen
         return k
 
-    def fill(p: int) -> Tuple[int, int]:
-        c = move_images(keys[p >> bits], keys[p & mask])
-        return ((p & mask) << bits) | local(c[0]), (local(c[1]) << bits) | (p >> bits)
+    def delta(p: int) -> int:
+        a, b = p >> bits, p & mask
+        return 0 if a == b else p ^ ((b << bits) | local(move_images(keys[a], keys[b])[0]))
 
-    def pack(t) -> int:
-        out = 0
-        for x in t:
-            out = (out << bits) | index[x]
-        return out
-
-    start = pack(f.factors)
-    target_packed = pack(target) if target is not None else None
+    start = _pack(f.factors, index, bits)
+    target_packed = _pack(target, index, bits) if target is not None else None
     if target_packed == start:
         return {start}, False, True, keys
 
-    # packed pair -> (pair after a forward move, pair after an inverse move)
-    moves = {}
-    pair_mask = (1 << 2 * bits) - 1
-    shifts = [bits * i for i in range(len(f.factors) - 2, -1, -1)]
+    positions = [(bits * i, {}) for i in range(len(f.factors) - 2, -1, -1)]
     seen = {start}
     queue = deque([start])
     while queue:
         base = queue.popleft()
-        for shift in shifts:
+        for shift, deltas in positions:
             p = (base >> shift) & pair_mask
-            cleared = base ^ (p << shift)
             try:
-                pairs = moves[p]
+                d = deltas[p]
             except KeyError:
-                pairs = moves[p] = fill(p)
-            for pair in pairs:
-                state = cleared | (pair << shift)
+                d = deltas[p] = delta(p) << shift
+            if d:
+                state = base ^ d
                 if state not in seen:
-                    if state == target_packed:
-                        seen.add(state)
-                        return seen, False, True, keys
-                    if len(seen) >= node_cap:
+                    if len(seen) >= node_cap and state != target_packed:
                         return seen, True, False, keys
                     seen.add(state)
+                    if state == target_packed:
+                        return seen, False, True, keys
                     queue.append(state)
     return seen, False, False, keys
+
+
+def _pack(t: Sequence[int], index, bits: int) -> int:
+    out = 0
+    for x in t:
+        out = (out << bits) | index[x]
+    return out
 
 
 def _width(keys: Sequence[int]) -> int:
@@ -227,7 +227,7 @@ def orbit_sizes(fs: Sequence[Factorization], node_cap: int = DEFAULT_NODE_CAP) -
             for j, t in enumerate(g.factors for g in fs):
                 # a factor the search never met puts the tuple outside its orbit
                 if out[j] is None and len(t) == len(f.factors) and all(x in index for x in t):
-                    if sum(index[x] << bits * k for k, x in enumerate(reversed(t))) in seen:
+                    if _pack(t, index, bits) in seen:
                         out[j] = size
             del seen  # free the orbit before the next search builds its own
     return out

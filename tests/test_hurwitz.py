@@ -151,6 +151,16 @@ def test_orbit_in_a_subgroup_with_dense_keys():
     assert o.members == members and o.size == 125
 
 
+def test_g6_length_six_orbit_matches_dfs_oracle(g6_group):
+    # the oracle follows both move directions; the search follows forward
+    # moves only, and must still reach every member
+    f = fz(g6_group, *_word_factors(g6_group, "a b a b a b"))
+    members, capped = orbit_dfs(g6_group, f.factors)
+    o = orbit(f)
+    assert not capped and not o.capped
+    assert len(members) == 34_560 and o.members == members
+
+
 def test_node_cap_validation(s3):
     with pytest.raises(ValueError):
         orbit_size(fz(s3, 0, 0), node_cap=0)

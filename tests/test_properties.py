@@ -5,6 +5,7 @@ every orbit has at most a few thousand members and the whole file stays
 within a couple of seconds.
 """
 
+import itertools
 import json
 from collections import Counter
 
@@ -29,6 +30,7 @@ from hurwitzorbits.hurwitz import (
     orbit_size,
     orbit_sizes,
     product,
+    same_orbit,
 )
 
 SMALL = settings(max_examples=12, deadline=None, database=None)
@@ -133,6 +135,38 @@ def test_orbit_sizes_matches_orbit_size_per_tuple(request, name, data, node_cap)
         fs += [f] + [Factorization(group, t) for t in picks]
     fs = data.draw(st.permutations(fs), label="order")
     assert orbit_sizes(fs, node_cap) == [orbit_size(f, node_cap) for f in fs]
+
+
+def _ending_in(group, prefix, p):
+    """``prefix`` with one more factor, chosen so the product is ``p``."""
+    q = group.identity
+    for x in prefix:
+        q = group.multiply(q, x)
+    return tuple(prefix) + (group.multiply(group.inverse(q), p),)
+
+
+@given(data=st.data())
+@SMALL
+def test_capped_searches_hold_part_of_the_orbit(group_and_length, data):
+    group, max_length = group_and_length
+    f, _ = _draw_orbit(data, group, max_length)
+    members, capped = orbit_dfs(group, f.factors)
+    assert not capped
+    k = data.draw(st.integers(1, len(members) + 1), label="node_cap")
+    o = orbit(f, k)
+    assert o.capped == (len(members) > k)
+    assert o.size == min(k, len(members)) and o.members <= members
+    # a member, and when there is one, a non-member with the same product
+    gs = [data.draw(st.sampled_from(sorted(members)), label="member")]
+    p, n = product(f), len(f)
+    prefixes = itertools.product(group.elements(), repeat=n - 1)
+    outside = sorted({_ending_in(group, t, p) for t in prefixes} - members)
+    if outside:
+        gs.append(data.draw(st.sampled_from(outside), label="non-member"))
+    for g in gs:
+        answer = same_orbit(f, Factorization(group, g), k)
+        assert answer == ("yes" if g in members else "no") or answer == "unknown"
+        assert answer != "unknown" or len(members) > k
 
 
 FIRST = "abstxyzABστ_"
