@@ -38,7 +38,6 @@ from .equalities import (
     cycle,
     double_reverse,
     flip_inverse,
-    g4_counterexample_check,
     invert_all,
     remark_rotation_check,
     reverse_tuple,

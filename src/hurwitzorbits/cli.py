@@ -88,8 +88,9 @@ def _load_group(args) -> Tuple[Group, Optional[Presentation]]:
 def _parse_permutation_factors(group: PermutationGroup, text: str) -> List[int]:
     """Parse factors in cycle notation, e.g. ``(1 2) (2 3)``.
 
-    Whitespace between parenthesized groups separates factors; cycles
-    juxtaposed without whitespace, like ``(1 2)(3 4)``, form one factor.
+    Whitespace between parenthesized groups separates factors; disjoint
+    cycles juxtaposed without whitespace, like ``(1 2)(3 4)``, form one
+    factor, and a point that repeats within one factor is an error.
     """
     matches = list(re.finditer(r"\(([^()]*)\)", text))
     if not matches:
@@ -100,10 +101,14 @@ def _parse_permutation_factors(group: PermutationGroup, text: str) -> List[int]:
         raise CliError(f"cannot parse permutation factors from {text!r}")
     factors = []
     perm = list(range(group.degree))
+    used: List[int] = []
     for k, m in enumerate(matches):
         points = [int(tok) - 1 for tok in m.group(1).split()]
         if any(not 0 <= p < group.degree for p in points):
             raise CliError(f"cycle point out of range in {m.group(0)!r}")
+        used += points
+        if len(set(used)) < len(used):
+            raise CliError(f"{m.group(0)!r} repeats a point of its factor; juxtaposed cycles must be disjoint")
         for a, b in zip(points, points[1:] + points[:1]):
             perm[a] = b
         nxt = matches[k + 1] if k + 1 < len(matches) else None
@@ -112,7 +117,7 @@ def _parse_permutation_factors(group: PermutationGroup, text: str) -> List[int]:
             raise CliError(f"unexpected text {gap.strip()!r} between cycles")
         if nxt is None or gap:
             factors.append(group.key_of(tuple(perm)))
-            perm = list(range(group.degree))
+            perm, used = list(range(group.degree)), []
     return factors
 
 
@@ -140,29 +145,15 @@ def _parse_factors(group, pres, text: str):
 
 
 def cmd_realize(args) -> int:
-    if args.builtin and _SYMMETRIC.match(args.builtin):
-        group = symmetric_group(int(args.builtin[1:]))
-        info = {
-            "order": group.order,
-            "generator_orders": [
-                group.element_order(k) for k in group.generator_keys
-            ],
-            "reversible": None,
-        }
-    else:
-        pres = _load_presentation(args)
-        group = _realize(pres, args.coset_cap)
+    group, pres = _load_group(args)
+    info = {
+        "order": group.order,
+        "generator_orders": [group.element_order(k) for k in group.generator_keys],
+        "reversible": None,
+    }
+    if pres is not None:
         report = check_reversible(pres, group.realization)
-        info = {
-            "order": group.order,
-            "generator_orders": [
-                group.element_order(
-                    group.evaluate_word(words.generator(pres.generators, i, 1))
-                )
-                for i in range(len(pres.generators))
-            ],
-            "reversible": report.status.value,
-        }
+        info["reversible"] = report.status.value
         if report.witness:
             info["witness"] = {
                 "relator": str(report.witness[0]),
@@ -180,14 +171,9 @@ def cmd_realize(args) -> int:
             print("reversible: n/a (not presentation-based)")
         elif info["reversible"] == "reversible":
             print("reversible: yes")
-        elif info["reversible"] == "not_reversible":
-            w = info.get("witness", {})
-            print(
-                f"reversible: no (relator {w.get('relator')} has reverse "
-                f"{w.get('reverse')} != 1)"
-            )
         else:
-            print("reversible: unknown (enumeration capped)")
+            w = info["witness"]
+            print(f"reversible: no (relator {w['relator']} has reverse {w['reverse']} != 1)")
     return EXIT_OK
 
 
@@ -301,11 +287,9 @@ def cmd_reversible(args) -> int:
         print(json.dumps(out))
     elif report.status is Reversibility.REVERSIBLE:
         print("reversible")
-    elif report.status is Reversibility.NOT_REVERSIBLE:
+    else:
         r, rev = report.witness
         print(f"not reversible: relator {r} has reverse {rev} != 1")
-    else:
-        print("unknown (enumeration capped)")
     return EXIT_OK
 
 

@@ -1,11 +1,13 @@
-"""The paper's orbit-size statements, their sampled checks, and the G6 scan.
+"""The paper's orbit-size statements, their sampled checks, and the scan.
 
 ``STATEMENTS`` is the one table of the statements: each CLI name maps to an
 input domain and a transform. ``run_check`` draws inputs from the domain,
 sizes both orbits with ``orbit_size`` and compares them, never assuming the
 statement, so a bug shows as a failing check, not a silent shortcut. The
-identities ``closed-form`` and ``mirror-moves`` return failure lines. The
-scan sizes each multiset's permutations in one ``orbit_sizes`` batch.
+identities ``closed-form`` and ``mirror-moves`` return failure lines.
+``conjecture_scan`` runs on any group: its letters are the generators, then
+their inverses, less repeated elements, and it sizes each multiset's
+permutations in one ``orbit_sizes`` batch.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def remark_rotation_check(pattern: Sequence) -> bool:
     return any(seq[k:] + seq[:k] == rev for k in range(max(n, 1)))
 
 
-# --- G6 conjecture scan and G4 counterexample --------------------------------
+# --- the conjecture scan ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -168,33 +170,33 @@ class ConjectureScanReport:
 
 
 def conjecture_scan(
-    group: RealizedGroup, max_len: int, node_cap: int = DEFAULT_NODE_CAP
+    group: Group, max_len: int, node_cap: int = DEFAULT_NODE_CAP
 ) -> ConjectureScanReport:
-    """Orbit sizes of all permutations of multisets over {a, b, a^-1} in G6.
+    """Orbit sizes of all permutations of multisets of the group's letters.
 
+    The letters are ``group.generator_keys``, then their inverses in the same
+    order, less any element that repeats an earlier one, each named by
+    ``group.element_name``: a, b, a^-1 in G6 and a, b, a^-1, b^-1 in G4.
     Each orbit among a multiset's permutations is searched once; a multiset
     whose permutations show more than one size is a counterexample candidate.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    alphabet = group.realization.origin.generators
-    letters = [
-        ("a", group.evaluate_word(words.generator(alphabet, 0, 1))),
-        ("b", group.evaluate_word(words.generator(alphabet, 1, 1))),
-        ("a^-1", group.evaluate_word(words.generator(alphabet, 0, -1))),
-    ]
+    gens = group.generator_keys
+    keys = list(dict.fromkeys(gens + tuple(group.inverse(g) for g in gens)))
+    names = [group.element_name(k) for k in keys]
     rows: List[ScanRow] = []
     multisets = 0
     uniform = 0
     candidates: List[str] = []
     for length in range(1, max_len + 1):
-        for combo in itertools.combinations_with_replacement(range(3), length):
+        for combo in itertools.combinations_with_replacement(range(len(keys)), length):
             multisets += 1
-            label = "{" + ", ".join(letters[i][0] for i in combo) + "}"
+            label = "{" + ", ".join(names[i] for i in combo) + "}"
             sizes = set()
             any_capped = False
             perms = sorted(set(itertools.permutations(combo)))
-            fs = [Factorization(group, tuple(letters[i][1] for i in perm)) for perm in perms]
+            fs = [Factorization(group, tuple(keys[i] for i in perm)) for perm in perms]
             for perm, s in zip(perms, orbit_sizes(fs, node_cap)):
                 capped = isinstance(s, AtLeast)
                 any_capped = any_capped or capped
@@ -204,7 +206,7 @@ def conjecture_scan(
                 rows.append(
                     ScanRow(
                         multiset=label,
-                        permutation="(" + ", ".join(letters[i][0] for i in perm) + ")",
+                        permutation="(" + ", ".join(names[i] for i in perm) + ")",
                         orbit_size=size,
                         capped=capped,
                     )
@@ -219,29 +221,6 @@ def conjecture_scan(
         multisets=multisets,
         uniform=uniform,
         candidates=tuple(candidates),
-    )
-
-
-@dataclass(frozen=True)
-class G4CounterexampleReport:
-    size_aabb: Optional[int]
-    size_abab: Optional[int]
-
-    @property
-    def ok(self) -> bool:
-        return self.size_aabb == 36 and self.size_abab == 27
-
-
-def g4_counterexample_check(
-    group: RealizedGroup, node_cap: int = DEFAULT_NODE_CAP
-) -> G4CounterexampleReport:
-    """Reproduce the 36 vs 27 orbit sizes of (a,a,b,b) and (a,b,a,b)."""
-    alphabet = group.realization.origin.generators
-    a = group.evaluate_word(words.generator(alphabet, 0, 1))
-    b = group.evaluate_word(words.generator(alphabet, 1, 1))
-    return G4CounterexampleReport(
-        size_aabb=_size_or_none(Factorization(group, (a, a, b, b)), node_cap),
-        size_abab=_size_or_none(Factorization(group, (a, b, a, b)), node_cap),
     )
 
 

@@ -86,6 +86,8 @@ class RealizedGroup(Group):
     def __init__(self, realization: CayleyRealization, name: Optional[str] = None):
         self.realization = realization
         self.name = name or f"<{','.join(realization.origin.generators)}|...>"
+        # each generator's key is the image of the identity (id 0) under it
+        self.generator_keys = tuple(forward[0] for forward, _ in realization.action)
 
     @property
     def order(self) -> int:

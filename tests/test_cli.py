@@ -134,7 +134,16 @@ def test_orbit_json_prints_lehmer_rank_keys(capsys, n, cycles, factors, size):
 def test_orbit_juxtaposed_cycles_are_one_factor(capsys):
     code, out, _ = run(capsys, "orbit", "--builtin", "s4", "(1 2)(3 4) (1 3)(2 4)")
     assert code == EXIT_OK
-    assert out.strip().isdigit()
+    assert out.strip() == "2"
+
+
+@pytest.mark.parametrize("factors", ["(1 2)(1 2)", "(1 2 3)(1 2 3)", "(1 1 2)"])
+def test_orbit_rejects_a_repeated_point_within_a_factor(capsys, factors):
+    # read cycle by cycle, these would silently give (1 2), (1 2 3) and a
+    # made-up element instead of the products
+    code, out, err = run(capsys, "orbit", "--builtin", "s3", factors)
+    assert code == EXIT_USAGE and out == ""
+    assert "disjoint" in err
 
 
 def test_orbit_bad_cycles(capsys):

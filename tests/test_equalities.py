@@ -3,6 +3,8 @@ import re
 
 import pytest
 
+from oracles import coxeter_chain
+
 from hurwitzorbits import equalities, hurwitz
 from hurwitzorbits import presentations as P
 from hurwitzorbits import words
@@ -18,12 +20,12 @@ from hurwitzorbits.equalities import (
     double_reverse,
     evaluate_tuple,
     flip_inverse,
-    g4_counterexample_check,
     remark_rotation_check,
     reverse_tuple,
     run_check,
     word_tuple_move,
 )
+from hurwitzorbits.groups import RealizedGroup, symmetric_group
 from hurwitzorbits.hurwitz import (
     DEFAULT_NODE_CAP,
     FORWARD,
@@ -34,6 +36,7 @@ from hurwitzorbits.hurwitz import (
     orbit_size,
     product,
 )
+from hurwitzorbits.toddcoxeter import enumerate_cosets
 
 
 def test_closed_form_small_exponents(s4):
@@ -146,10 +149,40 @@ def test_remark_rotation_basic():
 
 
 def test_g4_counterexample(g4_group):
-    report = g4_counterexample_check(g4_group)
-    assert report.size_aabb == 36
-    assert report.size_abab == 27
-    assert report.ok
+    report = conjecture_scan(g4_group, 4)
+    assert [r.permutation for r in report.rows[:4]] == ["(a)", "(b)", "(a^-1)", "(b^-1)"]
+    assert (report.multisets, len(report.rows), len(report.candidates)) == (69, 340, 9)
+    assert "{a, a, b, b}" in report.candidates
+    sizes = {r.permutation: r.orbit_size for r in report.rows}
+    assert (sizes["(a, a, b, b)"], sizes["(a, b, a, b)"]) == (36, 27)
+
+
+def test_conjecture_scan_letters_drop_repeated_elements():
+    # both generators of dihedral-inv are involutions: no inverse letters
+    group = RealizedGroup(enumerate_cosets(P.dihedral_inv(5)))
+    report = conjecture_scan(group, 1)
+    assert [r.permutation for r in report.rows] == ["(a)", "(b)"]
+
+
+def test_conjecture_scan_runs_on_a_permutation_group():
+    report = conjecture_scan(symmetric_group(4), 1)
+    assert [r.multiset for r in report.rows] == ["{(1 2)}", "{(2 3)}", "{(3 4)}"]
+
+
+PRESENTATIONS = {
+    name: P.builtin(name, 5) if name.startswith("dihedral") else P.builtin(name)
+    for name in P.BUILTIN_PRESENTATIONS
+}
+PRESENTATIONS["A3"] = P.coxeter(coxeter_chain(3, 3))
+PRESENTATIONS["3[4]3"] = P.shephard([3, 3], [4])
+
+
+@pytest.mark.parametrize("pres", PRESENTATIONS.values(), ids=PRESENTATIONS.keys())
+def test_generator_keys_are_the_generators(pres):
+    group = RealizedGroup(enumerate_cosets(pres))
+    gens = pres.generators
+    expected = tuple(group.evaluate_word(words.generator(gens, i, 1)) for i in range(len(gens)))
+    assert group.generator_keys == expected
 
 
 def test_conjecture_scan_small(g6_group):
