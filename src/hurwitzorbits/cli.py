@@ -25,7 +25,7 @@ from .presentations import (
     Reversibility,
     check_reversible,
 )
-from .toddcoxeter import Capped, enumerate_cosets
+from .toddcoxeter import DEFAULT_COSET_CAP, Capped, enumerate_cosets
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,8 +54,11 @@ def _load_presentation(args) -> Presentation:
         raise CliError(f"unknown builtin presentation {name!r}")
     text = None
     if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CliError(f"cannot read {args.file}: {exc.strerror or exc}") from exc
     elif getattr(args, "presentation", None):
         text = args.presentation
     if text is None:
@@ -329,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hurwitz orbit sizes in finitely presented groups",
     )
     coset_cap = argparse.ArgumentParser(add_help=False)
-    coset_cap.add_argument("--coset-cap", type=int, default=1_000_000)
+    coset_cap.add_argument("--coset-cap", type=int, default=DEFAULT_COSET_CAP)
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
     search = argparse.ArgumentParser(add_help=False)

@@ -10,7 +10,8 @@ Both moves rewrite one adjacent pair of factors by conjugation. Every move
 here, in the orbit search, in ``hurwitz_move`` and in the graph export,
 reads the pair's images from ``Group.move_images``, the group's memo, so
 there is one code path for every backend and group order, and the work of a
-search is bounded by the orbit.
+search is bounded by the orbit. One search answers every orbit query:
+``orbit``, ``orbit_sizes`` and ``same_orbit`` read the packed states it returns.
 """
 
 from __future__ import annotations
@@ -103,32 +104,25 @@ class _Widen(Exception):
     """A search met more distinct factors than its digits can number."""
 
 
-def _explore(
-    f: Factorization,
-    node_cap: int,
-    target: Optional[Tuple[int, ...]] = None,
-):
-    """BFS closure under forward moves. Returns (seen, capped, found_target, keys).
+def _explore(f: Factorization, node_cap: int):
+    """BFS closure under forward moves. Returns (seen, capped, index, bits).
 
-    A capped search holds the first ``node_cap`` states the forward search meets.
-    A state packs local indices into ``keys`` as fixed-width digits of one
-    integer, so set membership stays cheap on large orbits; ``_unpack_all``
-    turns states back into tuples. ``keys`` numbers the factors in the order
-    the search meets them, and the digits are as narrow as that count allows.
-    A search that meets more factors than its digits hold starts again with
-    wider ones; that happens at most once per doubling of the count.
+    A capped search holds the first ``node_cap`` states it meets. A state packs
+    each factor's ``index`` (numbered as the search meets factors) into a
+    ``bits``-wide digit of one integer, the narrowest that count allows; a
+    search that outgrows its digits restarts wider, once per doubling at most.
     """
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
-    keys = list(dict.fromkeys(f.factors + (target or ())))
+    keys = list(dict.fromkeys(f.factors))
     while True:
         try:
-            return _search(f, node_cap, target, keys)
+            return _search(f, node_cap, keys)
         except _Widen:
             pass  # ``keys`` has grown, and the next search numbers all of it
 
 
-def _search(f: Factorization, node_cap: int, target: Optional[Tuple[int, ...]], keys: List[int]):
+def _search(f: Factorization, node_cap: int, keys: List[int]):
     """A forward move XORs the state with a delta set by the pair it rewrites.
 
     Each position's table maps a packed pair to its delta, shifted into
@@ -137,7 +131,7 @@ def _search(f: Factorization, node_cap: int, target: Optional[Tuple[int, ...]], 
     """
     move_images = f.group.move_images
     index = {x: k for k, x in enumerate(keys)}
-    bits = _width(keys)
+    bits = max((len(keys) - 1).bit_length(), 1)
     mask, pair_mask = (1 << bits) - 1, (1 << 2 * bits) - 1
 
     def local(x: int) -> int:
@@ -153,14 +147,9 @@ def _search(f: Factorization, node_cap: int, target: Optional[Tuple[int, ...]], 
         a, b = p >> bits, p & mask
         return 0 if a == b else p ^ ((b << bits) | local(move_images(keys[a], keys[b])[0]))
 
-    start = _pack(f.factors, index, bits)
-    target_packed = _pack(target, index, bits) if target is not None else None
-    if target_packed == start:
-        return {start}, False, True, keys
-
     positions = [(bits * i, {}) for i in range(len(f.factors) - 2, -1, -1)]
-    seen = {start}
-    queue = deque([start])
+    seen = {_pack(f.factors, index, bits)}
+    queue = deque(seen)
     while queue:
         base = queue.popleft()
         for shift, deltas in positions:
@@ -172,13 +161,11 @@ def _search(f: Factorization, node_cap: int, target: Optional[Tuple[int, ...]], 
             if d:
                 state = base ^ d
                 if state not in seen:
-                    if len(seen) >= node_cap and state != target_packed:
-                        return seen, True, False, keys
+                    if len(seen) >= node_cap:
+                        return seen, True, index, bits
                     seen.add(state)
-                    if state == target_packed:
-                        return seen, False, True, keys
                     queue.append(state)
-    return seen, False, False, keys
+    return seen, False, index, bits
 
 
 def _pack(t: Sequence[int], index, bits: int) -> int:
@@ -188,20 +175,15 @@ def _pack(t: Sequence[int], index, bits: int) -> int:
     return out
 
 
-def _width(keys: Sequence[int]) -> int:
-    return max((len(keys) - 1).bit_length(), 1)
-
-
-def _unpack_all(packed: Iterable[int], length: int, keys: Sequence[int]):
-    bits = _width(keys)
-    mask = (1 << bits) - 1
-    for state in packed:
-        yield tuple(keys[(state >> (bits * (length - 1 - k))) & mask] for k in range(length))
+def _contains(t: Sequence[int], seen, index, bits: int) -> bool:
+    """Whether a search's states hold ``t``; a factor the search never met puts it outside."""
+    return all(x in index for x in t) and _pack(t, index, bits) in seen
 
 
 def orbit(f: Factorization, node_cap: int = DEFAULT_NODE_CAP) -> Orbit:
-    seen, capped, _, keys = _explore(f, node_cap)
-    members = frozenset(_unpack_all(seen, len(f.factors), keys))
+    seen, capped, index, bits = _explore(f, node_cap)
+    keys, mask, shifts = list(index), (1 << bits) - 1, range(bits * (len(f) - 1), -1, -bits)
+    members = frozenset(tuple(keys[(state >> s) & mask] for s in shifts) for state in seen)
     return Orbit(base=f, members=members, capped=capped)
 
 
@@ -220,15 +202,11 @@ def orbit_sizes(fs: Sequence[Factorization], node_cap: int = DEFAULT_NODE_CAP) -
     out: List[Optional[OrbitSize]] = [None] * len(fs)
     for i, f in enumerate(fs):
         if out[i] is None:
-            seen, capped, _, keys = _explore(f, node_cap)
+            seen, capped, index, bits = _explore(f, node_cap)
             size = AtLeast(node_cap) if capped else Finite(len(seen))
-            index = {x: k for k, x in enumerate(keys)}
-            bits = _width(keys)
             for j, t in enumerate(g.factors for g in fs):
-                # a factor the search never met puts the tuple outside its orbit
-                if out[j] is None and len(t) == len(f.factors) and all(x in index for x in t):
-                    if _pack(t, index, bits) in seen:
-                        out[j] = size
+                if out[j] is None and len(t) == len(f.factors) and _contains(t, seen, index, bits):
+                    out[j] = size
             del seen  # free the orbit before the next search builds its own
     return out
 
@@ -236,6 +214,12 @@ def orbit_sizes(fs: Sequence[Factorization], node_cap: int = DEFAULT_NODE_CAP) -
 def same_orbit(
     f1: Factorization, f2: Factorization, node_cap: int = DEFAULT_NODE_CAP
 ) -> Literal["yes", "no", "unknown"]:
+    """Whether f2 lies in the orbit of f1: "yes", "no" or "unknown".
+
+    Moves preserve the product, so a different product is "no" with no search.
+    Otherwise "yes" iff f2 is among the states of ``orbit(f1, node_cap)``;
+    "unknown" when that search capped (only when |O| > node_cap), else "no".
+    """
     if f1.group is not f2.group:
         raise ValueError("factorizations live in different groups")
     if len(f1.factors) != len(f2.factors):
@@ -244,8 +228,8 @@ def same_orbit(
         raise ValueError("node_cap must be >= 1")
     if product(f1) != product(f2):
         return "no"  # moves preserve the product
-    _, capped, found, _ = _explore(f1, node_cap, target=f2.factors)
-    if found:
+    seen, capped, index, bits = _explore(f1, node_cap)
+    if _contains(f2.factors, seen, index, bits):
         return "yes"
     return "unknown" if capped else "no"
 

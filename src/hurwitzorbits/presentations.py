@@ -43,10 +43,6 @@ class Presentation:
             if r.alphabet != self.generators:
                 raise ValueError("relator alphabet does not match generators")
 
-    @property
-    def alphabet(self) -> Tuple[str, ...]:
-        return self.generators
-
 
 class Reversibility(enum.Enum):
     REVERSIBLE = "reversible"

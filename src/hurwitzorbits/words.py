@@ -100,15 +100,6 @@ def is_palindrome(w: Word) -> bool:
     return w.letters == tuple(reversed(w.letters))
 
 
-def power(w: Word, n: int) -> Word:
-    if n < 0:
-        return power(invert(w), -n)
-    out = empty(w.alphabet)
-    for _ in range(n):
-        out = concat(out, w)
-    return out
-
-
 def render(w: Word) -> str:
     """Text form: names, inverses as ``name^-1``, runs collapsed to exponents.
 

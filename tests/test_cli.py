@@ -91,6 +91,17 @@ def test_realize_from_file(tmp_path, capsys):
     assert "order: 6" in out
 
 
+@pytest.mark.parametrize(
+    "command, name, rest", [("orbit", "missing.txt", ["a"]), ("realize", ".", [])], ids=["missing", "directory"]
+)
+def test_unreadable_file_is_an_error(tmp_path, capsys, command, name, rest):
+    code, out, err = run(capsys, command, "--file", str(tmp_path / name), *rest)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_orbit_g4_counterexample(capsys):
     code, out, _ = run(capsys, "orbit", "--builtin", "g4", "a a b b")
     assert code == EXIT_OK and out.strip() == "36"

@@ -233,6 +233,19 @@ def test_same_orbit_unknown_when_capped(s4):
     assert same_orbit(f, other_product, node_cap=2) == "no"
 
 
+@pytest.mark.parametrize("node_cap", range(1, 9))
+def test_capped_same_orbit_agrees_with_orbit(s4, node_cap):
+    t = s4.key_of((1, 0, 2, 3))
+    u = s4.key_of((0, 2, 1, 3))
+    f = fz(s4, t, u, t)
+    members = orbit(f).members
+    assert len(members) == 8
+    held = orbit(f, node_cap).members
+    for g in sorted(members):
+        expected = "yes" if g in held else "unknown"
+        assert same_orbit(f, Factorization(s4, g), node_cap) == expected
+
+
 def test_same_orbit_no_with_equal_products(s4):
     t12 = s4.key_of((1, 0, 2, 3))
     c123 = s4.key_of((1, 2, 0, 3))

@@ -167,6 +167,8 @@ def test_capped_searches_hold_part_of_the_orbit(group_and_length, data):
         answer = same_orbit(f, Factorization(group, g), k)
         assert answer == ("yes" if g in members else "no") or answer == "unknown"
         assert answer != "unknown" or len(members) > k
+        # the search answers from the same states ``orbit`` holds
+        assert answer == ("yes" if g in o.members else "unknown" if o.capped else "no")
 
 
 FIRST = "abstxyzABστ_"
