@@ -4,7 +4,8 @@ Commands: realize, orbit, check, scan-g6, reversible, double-reverse.
 ``check`` samples one entry of ``equalities.STATEMENTS``, and
 ``double-reverse`` applies that table's double-reverse entry to the given
 words. Exit codes: 0 success / all pass, 1 usage or parse error, 2 property
-failure, 3 cap-inconclusive under --strict.
+failure, 3 cap-inconclusive under --strict, 141 the reader of stdout left
+early (as ``| head`` does).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 import re
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import equalities, hurwitz, presentations, words
 from .groups import Group, PermutationGroup, RealizedGroup, symmetric_group
@@ -79,13 +80,12 @@ def _realize(pres: Presentation, coset_cap: int) -> RealizedGroup:
     return RealizedGroup(result)
 
 
-def _load_group(args) -> Tuple[Group, Optional[Presentation]]:
+def _load_group(args) -> Group:
     if args.builtin:
         m = _SYMMETRIC.match(args.builtin)
         if m:
-            return symmetric_group(int(m.group(1))), None
-    pres = _load_presentation(args)
-    return _realize(pres, args.coset_cap), pres
+            return symmetric_group(int(m.group(1)))
+    return _realize(_load_presentation(args), args.coset_cap)
 
 
 def _parse_permutation_factors(group: PermutationGroup, text: str) -> List[int]:
@@ -124,38 +124,37 @@ def _parse_permutation_factors(group: PermutationGroup, text: str) -> List[int]:
     return factors
 
 
-def _parse_word_factors(pres: Presentation, group: RealizedGroup, text: str):
+def _parse_word_factors(group: RealizedGroup, text: str):
     parts = [p for p in (text.split(",") if "," in text else text.split()) if p.strip()]
     if not parts:
         raise CliError("empty factorization")
     ws = []
     for part in parts:
         try:
-            ws.append(presentations.parse_word(pres.generators, part.strip()))
+            ws.append(presentations.parse_word(group.realization.origin.generators, part.strip()))
         except PresentationSyntaxError as exc:
             raise CliError(f"cannot parse factor {part.strip()!r}: {exc}") from exc
     return ws, [group.evaluate_word(w) for w in ws]
 
 
-def _parse_factors(group, pres, text: str):
+def _parse_factors(group: Group, text: str) -> List[int]:
     if isinstance(group, PermutationGroup):
-        return None, _parse_permutation_factors(group, text)
-    ws, keys = _parse_word_factors(pres, group, text)
-    return tuple(ws), keys
+        return _parse_permutation_factors(group, text)
+    return _parse_word_factors(group, text)[1]
 
 
 # --- subcommands -------------------------------------------------------------
 
 
 def cmd_realize(args) -> int:
-    group, pres = _load_group(args)
+    group = _load_group(args)
     info = {
         "order": group.order,
         "generator_orders": [group.element_order(k) for k in group.generator_keys],
         "reversible": None,
     }
-    if pres is not None:
-        report = check_reversible(pres, group.realization)
+    if isinstance(group, RealizedGroup):
+        report = check_reversible(group.realization.origin, group)
         info["reversible"] = report.status.value
         if report.witness:
             info["witness"] = {
@@ -181,8 +180,8 @@ def cmd_realize(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    group, pres = _load_group(args)
-    _, keys = _parse_factors(group, pres, args.factors)
+    group = _load_group(args)
+    keys = _parse_factors(group, args.factors)
     f = Factorization(group, tuple(keys))
     if args.graph:
         o = hurwitz.orbit(f, args.node_cap)
@@ -215,12 +214,12 @@ def cmd_orbit(args) -> int:
 def cmd_check(args) -> int:
     groups = None
     if args.builtin or args.file or args.presentation:
-        group, pres = _load_group(args)
+        group = _load_group(args)
         domain = equalities.STATEMENTS[args.theorem].domain
-        if domain.words and pres is None:
+        if domain.words and not isinstance(group, RealizedGroup):
             raise CliError(f"{args.theorem} samples words, and {args.builtin} has no presentation")
         if domain.reversible:
-            report = check_reversible(pres, group.realization)
+            report = check_reversible(group.realization.origin, group)
             if report.status is not Reversibility.REVERSIBLE:
                 print(
                     f"refused: presentation is not reversible "
@@ -279,7 +278,7 @@ def cmd_scan_g6(args) -> int:
 def cmd_reversible(args) -> int:
     pres = _load_presentation(args)
     group = _realize(pres, args.coset_cap)
-    report = check_reversible(pres, group.realization)
+    report = check_reversible(pres, group)
     if args.format == "json":
         out = {"status": report.status.value}
         if report.witness:
@@ -299,8 +298,8 @@ def cmd_reversible(args) -> int:
 def cmd_double_reverse(args) -> int:
     pres = _load_presentation(args)
     group = _realize(pres, args.coset_cap)
-    ws, keys = _parse_word_factors(pres, group, args.factors)
-    reversible = check_reversible(pres, group.realization).status is Reversibility.REVERSIBLE
+    ws, keys = _parse_word_factors(group, args.factors)
+    reversible = check_reversible(pres, group).status is Reversibility.REVERSIBLE
     note = "" if reversible else "no guarantee: presentation not reversible"
     dr = equalities.STATEMENTS["double-reverse"].transform(tuple(ws))
     f, out = Factorization(group, tuple(keys)), equalities.evaluate_tuple(group, dr)

@@ -1,8 +1,9 @@
 """A uniform finite-group interface over multiple backends.
 
 Elements are the integer keys 0..order-1, so orbit machinery can hash and
-deduplicate factorizations without caring which backend produced them. This module is the only place that does element
-arithmetic: every Hurwitz move reads its pair's images from
+deduplicate factorizations without caring which backend produced them. This
+module is the only place that does element arithmetic, for realized and
+permutation groups alike: every Hurwitz move reads its pair's images from
 ``Group.move_images``, which memoizes them per group.
 """
 
@@ -11,20 +12,19 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from .toddcoxeter import CayleyRealization
+from .words import AlphabetMismatchError, Word
 
 
 class Group:
-    """Finite group whose elements are keyed 0..order-1."""
+    """Finite group whose elements are keyed 0..order-1.
+
+    A backend sets ``order`` and ``identity``, and raises ``ValueError``
+    for a key outside 0..order-1.
+    """
 
     name = "group"
-
-    @property
-    def order(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def identity(self) -> int:
-        raise NotImplementedError
+    order: int
+    identity: int
 
     def elements(self) -> Sequence[int]:
         return range(self.order)
@@ -37,6 +37,10 @@ class Group:
 
     def element_name(self, g: int) -> str:
         return str(g)
+
+    def _check(self, g: int):
+        if not 0 <= g < self.order:
+            raise ValueError(f"element key {g} out of range 0..{self.order - 1}")
 
     def conjugate(self, g: int, y: int) -> int:
         """y^-1 g y."""
@@ -81,33 +85,51 @@ class Group:
 
 
 class RealizedGroup(Group):
-    """Backend over a CayleyRealization; keys are the element ids."""
+    """A group realized by coset enumeration; keys are the element ids.
+
+    Arithmetic follows the generator actions: g h is g moved along the
+    shortest word for h, and the inverses are tabled once.
+    """
 
     def __init__(self, realization: CayleyRealization, name: Optional[str] = None):
         self.realization = realization
         self.name = name or f"<{','.join(realization.origin.generators)}|...>"
+        self.order = realization.order
+        self.identity = 0  # ids are numbered breadth-first from the identity
         # each generator's key is the image of the identity (id 0) under it
         self.generator_keys = tuple(forward[0] for forward, _ in realization.action)
+        self._inverses = tuple(self._follow(0, [(i, -s) for i, s in reversed(w)]) for w in realization.letters)
 
-    @property
-    def order(self) -> int:
-        return self.realization.order
-
-    @property
-    def identity(self) -> int:
-        return self.realization.identity_id
+    def _follow(self, g: int, letters) -> int:
+        action = self.realization.action
+        for idx, sign in letters:
+            g = action[idx][0 if sign > 0 else 1][g]
+        return g
 
     def multiply(self, g: int, h: int) -> int:
-        return self.realization.multiply(g, h)
+        self._check(g)
+        self._check(h)
+        return self._follow(g, self.realization.letters[h])
 
     def inverse(self, g: int) -> int:
-        return self.realization.inverse(g)
+        self._check(g)
+        return self._inverses[g]
+
+    def representative_word(self, g: int) -> Word:
+        """A shortest word in the generators evaluating to element g."""
+        self._check(g)
+        return Word(self.realization.origin.generators, self.realization.letters[g])
 
     def element_name(self, g: int) -> str:
-        return str(self.realization.representative_word(g))
+        return str(self.representative_word(g))
 
-    def evaluate_word(self, w) -> int:
-        return self.realization.evaluate_word(w)
+    def evaluate_word(self, w: Word) -> int:
+        if w.alphabet != self.realization.origin.generators:
+            raise AlphabetMismatchError(
+                f"word over {w.alphabet} cannot be evaluated in a realization "
+                f"of {self.realization.origin.generators}"
+            )
+        return self._follow(0, w.letters)
 
 
 def _compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -168,18 +190,13 @@ class PermutationGroup(Group):
                         new.append(q)
             frontier = new
         self._perms = sorted(elements)
+        self.order = len(self._perms)
+        self.identity = 0  # the identity sorts first
         self._keys = {p: k for k, p in enumerate(self._perms)}
         self.generator_keys = tuple(self._keys[tuple(g)] for g in generators)
 
-    @property
-    def order(self) -> int:
-        return len(self._perms)
-
-    @property
-    def identity(self) -> int:
-        return 0  # the identity sorts first
-
     def permutation(self, key: int) -> Tuple[int, ...]:
+        self._check(key)
         return self._perms[key]
 
     def key_of(self, perm: Tuple[int, ...]) -> int:
@@ -189,13 +206,16 @@ class PermutationGroup(Group):
             raise ValueError(f"{perm} is not an element of {self.name}") from None
 
     def multiply(self, g: int, h: int) -> int:
+        self._check(g)
+        self._check(h)
         return self._keys[_compose(self._perms[g], self._perms[h])]
 
     def inverse(self, g: int) -> int:
+        self._check(g)
         return self._keys[_invert_perm(self._perms[g])]
 
     def element_name(self, g: int) -> str:
-        return cycle_notation(self._perms[g])
+        return cycle_notation(self.permutation(g))
 
 
 def symmetric_group(n: int) -> PermutationGroup:

@@ -42,6 +42,8 @@ class Factorization:
     def __post_init__(self):
         if len(self.factors) < 1:
             raise ValueError("a factorization has length >= 1")
+        if min(self.factors) < 0 or max(self.factors) >= self.group.order:
+            raise ValueError(f"factors {self.factors} are not all keys 0..{self.group.order - 1}")
 
     def __len__(self) -> int:
         return len(self.factors)

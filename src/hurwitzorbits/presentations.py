@@ -10,7 +10,8 @@ Grammar (whitespace separates factors)::
     factor       := name ("^" integer)?
 
 An equation chain ``u1 = u2 = ... = uk`` contributes the relators
-``u_i * u_{i+1}^-1`` for each adjacent pair.
+``u_i * u_{i+1}^-1`` for each adjacent pair. A text spelling more than
+``MAX_LETTERS`` letters is refused before its exponents are expanded.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ class ReversibilityReport:
 
 # --- tokenizer / parser ---------------------------------------------------
 
+MAX_LETTERS = 1_000_000
+
 _PUNCT = {"<": "LANGLE", ">": "RANGLE", "|": "PIPE", ",": "COMMA", "=": "EQ"}
 
 
@@ -106,6 +109,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.alphabet = alphabet
+        self.letters_left = MAX_LETTERS
 
     def peek(self):
         return self.tokens[self.pos]
@@ -138,7 +142,10 @@ class _Parser:
                 raise PresentationSyntaxError(f"unknown generator {name!r}", pos)
             exp = 1
             if self.peek()[0] == "EXP":
-                exp = self.take("EXP")[1]
+                _, exp, pos = self.take("EXP")
+            self.letters_left -= abs(exp)
+            if self.letters_left < 0:
+                raise PresentationSyntaxError(f"more than {MAX_LETTERS} letters", pos)
             sign = 1 if exp >= 0 else -1
             letters.extend([(index[name], sign)] * abs(exp))
             saw_factor = True
@@ -201,17 +208,21 @@ def render_presentation(p: Presentation) -> str:
 # --- built-in families ----------------------------------------------------
 
 
+def _check_dihedral(n: int):
+    # (a b)^n spells 2n letters and the other relators a few more
+    if not 1 <= n <= MAX_LETTERS // 4:
+        raise ValueError(f"dihedral parameter must be in 1..{MAX_LETTERS // 4}")
+
+
 def dihedral_rs(n: int) -> Presentation:
     """<r, s | r^n, s^2, r s r s^-1> (order 2n)."""
-    if n < 1:
-        raise ValueError("dihedral parameter must be >= 1")
+    _check_dihedral(n)
     return parse_presentation(f"<r, s | r^{n}, s^2, r s r s^-1>")
 
 
 def dihedral_inv(n: int) -> Presentation:
     """<a, b | a^2, b^2, (a b)^n> (order 2n, generated by involutions)."""
-    if n < 1:
-        raise ValueError("dihedral parameter must be >= 1")
+    _check_dihedral(n)
     ab = "a b " * n
     return parse_presentation(f"<a, b | a^2, b^2, {ab.strip()}>")
 
@@ -319,20 +330,20 @@ def builtin(name: str, *params) -> Presentation:
 # --- reversibility ---------------------------------------------------------
 
 
-def check_reversible(p: Presentation, realization) -> ReversibilityReport:
-    """Decide the reversible-relations predicate via a finite realization.
+def check_reversible(p: Presentation, group) -> ReversibilityReport:
+    """Decide the reversible-relations predicate in a group realized from p.
 
     A relator's reverse lies in the normal closure of the relators exactly
-    when it evaluates to the identity in the realized quotient. When no
-    finite realization is available (enumeration capped), the answer is
-    Unknown.
+    when it evaluates to the identity in ``group``, a ``RealizedGroup`` of
+    p. When no finite realization is available (``None``, or ``Capped``
+    enumeration), the answer is Unknown.
     """
     from .toddcoxeter import Capped
 
-    if realization is None or isinstance(realization, Capped):
+    if group is None or isinstance(group, Capped):
         return ReversibilityReport(Reversibility.UNKNOWN, cap_hit=True)
     for r in p.relators:
         rev = words.reverse(r)
-        if realization.evaluate_word(rev) != realization.identity_id:
+        if group.evaluate_word(rev) != group.identity:
             return ReversibilityReport(Reversibility.NOT_REVERSIBLE, witness=(r, rev))
     return ReversibilityReport(Reversibility.REVERSIBLE)

@@ -1,7 +1,7 @@
 """Coset enumeration over the trivial subgroup.
 
-Realizes a finite presentation as element ids 0..|G|-1 with total
-multiplication (the regular representation). The coset table is built by
+Realizes a finite presentation as element ids 0..|G|-1 and each generator's
+action on them (the regular representation). The coset table is built by
 HLT scan-and-fill (Holt, Eick and O'Brien, *Handbook of Computational Group
 Theory*, 5.1-5.2), with coincidences merged through a union-find structure
 and the Handbook's queue. Ids are breadth-first from the identity, so they
@@ -16,7 +16,6 @@ from typing import List, Tuple, Union
 
 from . import words
 from .presentations import Presentation
-from .words import Word
 
 DEFAULT_COSET_CAP = 1_000_000
 
@@ -32,6 +31,7 @@ class Capped:
     coset_cap: int
 
 
+@dataclass(frozen=True)
 class CayleyRealization:
     """A finite group as ids 0..order-1 with generator action permutations.
 
@@ -39,50 +39,14 @@ class CayleyRealization:
     generator g (sign 0) or its inverse (sign 1). Id 0 is the identity, and
     ids are breadth-first from it (generators in declaration order, each
     before its inverse), so they depend only on the Cayley graph.
-    ``letters[g]`` spells a shortest word for element g; a ``Word`` is
-    made from it only when asked for.
+    ``letters[g]`` spells a shortest word for element g. ``RealizedGroup``
+    does the arithmetic.
     """
 
-    def __init__(self, origin: Presentation, action: List[Tuple[Tuple[int, ...], Tuple[int, ...]]],
-                 letters: List[Tuple[words.Letter, ...]]):
-        self.origin = origin
-        self.action = action
-        self.order = len(letters)
-        self.identity_id = 0
-        self._letters = letters
-        self._inverses = tuple(self._follow(0, [(i, -s) for i, s in reversed(w)]) for w in letters)
-
-    def _follow(self, start: int, letters) -> int:
-        c = start
-        for idx, sign in letters:
-            c = self.action[idx][0 if sign > 0 else 1][c]
-        return c
-
-    def representative_word(self, g: int) -> Word:
-        """A shortest word in the generators evaluating to element g."""
-        self._check(g)
-        return Word(self.origin.generators, self._letters[g])
-
-    def _check(self, g: int):
-        if not 0 <= g < self.order:
-            raise ValueError(f"element id {g} out of range 0..{self.order - 1}")
-
-    def multiply(self, g: int, h: int) -> int:
-        self._check(g)
-        self._check(h)
-        return self._follow(g, self._letters[h])
-
-    def inverse(self, g: int) -> int:
-        self._check(g)
-        return self._inverses[g]
-
-    def evaluate_word(self, w: Word) -> int:
-        if w.alphabet != self.origin.generators:
-            raise words.AlphabetMismatchError(
-                f"word over {w.alphabet} cannot be evaluated in a realization "
-                f"of {self.origin.generators}"
-            )
-        return self._follow(0, w.letters)
+    origin: Presentation
+    action: List[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+    letters: List[Tuple[words.Letter, ...]]
+    order: int
 
 
 def _breadth_first(p: Presentation, table: List[int], ncosets: int) -> CayleyRealization:
@@ -101,7 +65,7 @@ def _breadth_first(p: Presentation, table: List[int], ncosets: int) -> CayleyRea
                 letters.append(letters[k] + ((d >> 1, -1 if d & 1 else 1),))
             column.append(ids[e])
     action = [(tuple(columns[d]), tuple(columns[d + 1])) for d in range(0, ndirs, 2)]
-    return CayleyRealization(p, action, letters)
+    return CayleyRealization(p, action, letters, len(letters))
 
 
 def enumerate_cosets(

@@ -52,19 +52,19 @@ def test_acceptance_2_reversibility_classification(q8_ab_group, q8_ijk_group):
     detail = []
     for n in range(3, 9):
         pres = P.dihedral_rs(n)
-        status = check_reversible(pres, enumerate_cosets(pres)).status
+        status = check_reversible(pres, RealizedGroup(enumerate_cosets(pres))).status
         if status is not Reversibility.REVERSIBLE:
             ok = False
             detail.append(f"dihedral-rs({n}): {status.value}")
     pres = P.dihedral_inv(6)
-    if check_reversible(pres, enumerate_cosets(pres)).status is not Reversibility.REVERSIBLE:
+    if check_reversible(pres, RealizedGroup(enumerate_cosets(pres))).status is not Reversibility.REVERSIBLE:
         ok = False
         detail.append("dihedral-inv(6) not reversible")
-    ab = check_reversible(q8_ab_group.realization.origin, q8_ab_group.realization)
+    ab = check_reversible(q8_ab_group.realization.origin, q8_ab_group)
     if ab.status is not Reversibility.REVERSIBLE:
         ok = False
         detail.append("q8-ab not reversible")
-    ijk = check_reversible(q8_ijk_group.realization.origin, q8_ijk_group.realization)
+    ijk = check_reversible(q8_ijk_group.realization.origin, q8_ijk_group)
     if ijk.status is not Reversibility.NOT_REVERSIBLE:
         ok = False
         detail.append("q8-ijk not flagged")

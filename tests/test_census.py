@@ -56,7 +56,7 @@ def every_input(domain, name):
         els = [x for x in els if table.element_order(x) <= 2]
     tuples = itertools.product(els, repeat=n)
     if domain.words:
-        rep = group.realization.representative_word
+        rep = group.representative_word
         ts = [tuple(map(rep, t)) for t in tuples]
         if domain is WORD_MOVES:
             return n, [(t, [p]) for t in ts for p in range(1, n)]

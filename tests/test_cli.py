@@ -381,6 +381,34 @@ def test_closed_stdout_pipe_exits_quietly():
     assert err == b""
 
 
+def _limit_memory():
+    import resource
+
+    limit = 1 << 30  # 1 GiB of address space: an expansion of 10^9 letters fails fast
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--builtin", "g4", "a^1000000000 b"],
+        ["realize", "<a | a^-1000000000>"],
+        ["realize", "--builtin", "dihedral-inv", "--n", "1000000000"],
+    ],
+)
+def test_huge_exponent_is_refused_before_expansion(argv):
+    # run in a child under a memory limit: an unchecked expansion would
+    # take gigabytes, and there it fails with a MemoryError traceback
+    src = str(Path(hurwitzorbits.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "hurwitzorbits.cli", *argv]
+    proc = subprocess.run(cmd, capture_output=True, env=env, timeout=60, preexec_fn=_limit_memory)
+    err = proc.stderr.decode()
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == b""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_no_command_is_usage(capsys):
     assert main([]) == EXIT_USAGE
     capsys.readouterr()

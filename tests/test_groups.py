@@ -219,6 +219,17 @@ def test_conjugation_tables_start_empty():
     assert s3.conjugation_tables() is conj
 
 
+@pytest.mark.parametrize("group_name", ["s3", "g4_group"])
+def test_keys_outside_the_group_are_rejected(group_name, request):
+    # S3 once wrapped -1 to key 5 and raised IndexError on 6
+    group = request.getfixturevalue(group_name)
+    for bad in (-1, group.order, 99):
+        for call in (lambda: group.multiply(bad, 0), lambda: group.multiply(0, bad),
+                     lambda: group.inverse(bad), lambda: group.element_name(bad)):
+            with pytest.raises(ValueError, match="out of range"):
+                call()
+
+
 def test_realized_group_names(d12_group):
     assert d12_group.name == "D12"
     assert d12_group.element_name(d12_group.identity) == "1"

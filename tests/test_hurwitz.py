@@ -95,6 +95,14 @@ def test_factorization_requires_a_factor(s3):
         Factorization(s3, ())
 
 
+@pytest.mark.parametrize("group_name", ["s3", "g4_group"])
+@pytest.mark.parametrize("factors", [(-1, 1), (1, -1), (99, 99), (0, 24)])
+def test_factorization_rejects_keys_outside_the_group(group_name, factors, request):
+    # -1 once named the same S3 element as 5, so (-1, 1) and (5, 1) had orbits of different sizes
+    with pytest.raises(ValueError, match="not all keys"):
+        Factorization(request.getfixturevalue(group_name), factors)
+
+
 def test_singleton_orbit(s3):
     assert orbit_size(fz(s3, s3.key_of((1, 0, 2)))) == Finite(1)
 

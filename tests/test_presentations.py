@@ -12,6 +12,7 @@ from hurwitzorbits.presentations import (
     parse_word,
     render_presentation,
 )
+from hurwitzorbits.groups import RealizedGroup
 from hurwitzorbits.toddcoxeter import Capped, enumerate_cosets
 from hurwitzorbits.words import Word
 
@@ -131,9 +132,9 @@ def test_builtin_invalid_parameters():
 
 def test_builtin_relators_hold_in_realization():
     for pres in (P.dihedral_rs(5), P.dihedral_inv(4), P.q8_ab(), P.q8_ijk(), P.g4(), P.g6()):
-        r = enumerate_cosets(pres)
+        r = RealizedGroup(enumerate_cosets(pres))
         for rel in pres.relators:
-            assert r.evaluate_word(rel) == r.identity_id
+            assert r.evaluate_word(rel) == r.identity
 
 
 # --- reversibility --------------------------------------------------------------
@@ -142,22 +143,22 @@ def test_builtin_relators_hold_in_realization():
 @pytest.mark.parametrize("n", range(3, 9))
 def test_dihedral_rs_reversible(n):
     pres = P.dihedral_rs(n)
-    assert check_reversible(pres, enumerate_cosets(pres)).status is Reversibility.REVERSIBLE
+    assert check_reversible(pres, RealizedGroup(enumerate_cosets(pres))).status is Reversibility.REVERSIBLE
 
 
 def test_dihedral_inv_reversible():
     pres = P.dihedral_inv(6)
-    assert check_reversible(pres, enumerate_cosets(pres)).status is Reversibility.REVERSIBLE
+    assert check_reversible(pres, RealizedGroup(enumerate_cosets(pres))).status is Reversibility.REVERSIBLE
 
 
 def test_q8_ab_reversible(q8_ab_group):
     pres = q8_ab_group.realization.origin
-    assert check_reversible(pres, q8_ab_group.realization).status is Reversibility.REVERSIBLE
+    assert check_reversible(pres, q8_ab_group).status is Reversibility.REVERSIBLE
 
 
 def test_q8_ijk_not_reversible(q8_ijk_group):
     pres = q8_ijk_group.realization.origin
-    report = check_reversible(pres, q8_ijk_group.realization)
+    report = check_reversible(pres, q8_ijk_group)
     assert report.status is Reversibility.NOT_REVERSIBLE
     relator, rev = report.witness
     assert str(relator) == "i j k m"
@@ -197,8 +198,8 @@ def reversible_by_shortcut(relator: Word) -> bool:
 
 def test_shortcut_agrees_with_full_check():
     for pres in (P.dihedral_rs(6), P.dihedral_inv(5), P.g4(), P.g6(), P.shephard([3, 3], [4])):
-        realization = enumerate_cosets(pres)
-        assert check_reversible(pres, realization).status is Reversibility.REVERSIBLE
+        group = RealizedGroup(enumerate_cosets(pres))
+        assert check_reversible(pres, group).status is Reversibility.REVERSIBLE
         for rel in pres.relators:
             assert reversible_by_shortcut(rel), str(rel)
 

@@ -42,7 +42,7 @@ def test_dihedral_orders_match_permutation_oracle(n):
 def test_dihedral_multiplication_matches_oracle():
     # exhaustive comparison through the homomorphism r -> rotation, s -> flip
     n = 6
-    r = enumerate_cosets(P.dihedral_rs(n))
+    r = RealizedGroup(enumerate_cosets(P.dihedral_rs(n)))
     oracle = dihedral_permutation_group(n)
     rot = oracle.generator_keys[0]
     flip = oracle.generator_keys[1]
@@ -71,7 +71,7 @@ def test_g6_order_matches_matrix_closure():
 
 
 def test_multiply_identity_and_inverses(d12_group):
-    r = d12_group.realization
+    r = d12_group
     for g in range(r.order):
         assert r.multiply(0, g) == g
         assert r.multiply(g, 0) == g
@@ -81,20 +81,20 @@ def test_multiply_identity_and_inverses(d12_group):
 
 def test_multiply_out_of_range(d12_group):
     with pytest.raises(ValueError):
-        d12_group.realization.multiply(0, 99)
+        d12_group.multiply(0, 99)
 
 
 def test_q8_ab_square_relation(q8_ab_group):
-    r = q8_ab_group.realization
-    alphabet = r.origin.generators
+    r = q8_ab_group
+    alphabet = r.realization.origin.generators
     a = r.evaluate_word(words.generator(alphabet, 0, 1))
     b = r.evaluate_word(words.generator(alphabet, 1, 1))
     assert r.multiply(a, a) == r.multiply(b, b)
 
 
 def test_dihedral_rs4_inverse_is_cube():
-    r = enumerate_cosets(P.dihedral_rs(4))
-    rot = r.evaluate_word(words.generator(r.origin.generators, 0, 1))
+    r = RealizedGroup(enumerate_cosets(P.dihedral_rs(4)))
+    rot = r.evaluate_word(words.generator(r.realization.origin.generators, 0, 1))
     cube = r.multiply(r.multiply(rot, rot), rot)
     assert r.inverse(rot) == cube
 
@@ -102,8 +102,8 @@ def test_dihedral_rs4_inverse_is_cube():
 def test_evaluate_word_homomorphic(g6_group):
     import random
 
-    r = g6_group.realization
-    alphabet = r.origin.generators
+    r = g6_group
+    alphabet = r.realization.origin.generators
     rng = random.Random(3)
     for _ in range(100):
         u = words.reduce_word(
@@ -120,14 +120,14 @@ def test_evaluate_word_homomorphic(g6_group):
 
 
 def test_evaluate_relators_trivial(g6_group):
-    r = g6_group.realization
-    for rel in r.origin.relators:
+    r = g6_group
+    for rel in r.realization.origin.relators:
         assert r.evaluate_word(rel) == 0
 
 
 def test_g6_braid_relation_evaluates_equal(g6_group):
-    r = g6_group.realization
-    alphabet = r.origin.generators
+    r = g6_group
+    alphabet = r.realization.origin.generators
     lhs = P.parse_word(alphabet, "a b a b a b")
     rhs = P.parse_word(alphabet, "b a b a b a")
     assert r.evaluate_word(lhs) == r.evaluate_word(rhs)
@@ -135,17 +135,17 @@ def test_g6_braid_relation_evaluates_equal(g6_group):
 
 def test_evaluate_alphabet_mismatch(g6_group):
     with pytest.raises(AlphabetMismatchError):
-        g6_group.realization.evaluate_word(words.empty(("x",)))
+        g6_group.evaluate_word(words.empty(("x",)))
 
 
 def test_latin_square_property(q8_ab_group):
-    r = q8_ab_group.realization
+    r = q8_ab_group
     for g in range(r.order):
         assert sorted(r.multiply(g, h) for h in range(r.order)) == list(range(r.order))
 
 
 def test_regular_representation_faithful(d12_group):
-    r = d12_group.realization
+    r = d12_group
     rows = {tuple(r.multiply(g, h) for h in range(r.order)) for g in range(r.order)}
     assert len(rows) == r.order
 
