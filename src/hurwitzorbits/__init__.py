@@ -8,8 +8,6 @@ checks of the orbit-size equality statements.
 from .words import Word, concat, invert, is_palindrome, reduce_word, render, reverse
 from .presentations import (
     Presentation,
-    Reversibility,
-    ReversibilityReport,
     builtin,
     check_reversible,
     parse_presentation,

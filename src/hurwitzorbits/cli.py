@@ -1,11 +1,14 @@
 """Command-line front door.
 
 Commands: realize, orbit, check, scan-g6, reversible, double-reverse.
-``check`` samples one entry of ``equalities.STATEMENTS``, and
-``double-reverse`` applies that table's double-reverse entry to the given
-words. Exit codes: 0 success / all pass, 1 usage or parse error, 2 property
-failure, 3 cap-inconclusive under --strict, 141 the reader of stdout left
-early (as ``| head`` does).
+A group comes from one source: ``--builtin`` (``--n`` only if dihedral),
+``--file`` or a presentation text. ``check`` samples one entry of
+``equalities.STATEMENTS`` with ``run_check``, which refuses a group outside
+the entry's domain; ``double-reverse`` applies its double-reverse entry to
+the given words. A refusal is one ``error:`` line on stderr. Exit codes: 0
+success / all pass, 1 usage or parse error, 2 property failure, 3
+cap-inconclusive under --strict, 141 the reader of stdout left early (as
+``| head`` does).
 """
 
 from __future__ import annotations
@@ -17,15 +20,10 @@ import re
 import sys
 from typing import List, Optional
 
-from . import equalities, hurwitz, presentations, words
+from . import equalities, hurwitz, presentations
 from .groups import Group, PermutationGroup, RealizedGroup, symmetric_group
 from .hurwitz import AtLeast, Factorization, Finite
-from .presentations import (
-    Presentation,
-    PresentationSyntaxError,
-    Reversibility,
-    check_reversible,
-)
+from .presentations import Presentation, PresentationSyntaxError, check_reversible
 from .toddcoxeter import DEFAULT_COSET_CAP, Capped, enumerate_cosets
 
 EXIT_OK = 0
@@ -35,6 +33,8 @@ EXIT_INCONCLUSIVE = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by the signal
 
 _SYMMETRIC = re.compile(r"^s([1-8])$")
+_DIHEDRAL = ("dihedral-rs", "dihedral-inv")
+_WITNESS = "relator {relator} has reverse {reverse} != 1"
 
 
 class CliError(Exception):
@@ -43,27 +43,31 @@ class CliError(Exception):
         self.code = code
 
 
+def _sources(args) -> List[str]:
+    """The group sources given: at most one, and ``--n`` only with a dihedral builtin."""
+    named = (("--builtin", args.builtin), ("--file", args.file), ("a presentation", args.presentation))
+    given = [flag for flag, value in named if value]
+    if len(given) > 1:
+        raise CliError(f"give one group source, not {' and '.join(given)}")
+    if args.n is not None and args.builtin not in _DIHEDRAL:
+        raise CliError(f"--n goes with --builtin {' or '.join(_DIHEDRAL)}")
+    return given
+
+
 def _load_presentation(args) -> Presentation:
+    if not _sources(args):
+        raise CliError("provide a presentation (inline, --file, or --builtin)")
     if args.builtin:
-        name = args.builtin
-        if name in ("dihedral-rs", "dihedral-inv"):
-            if args.n is None:
-                raise CliError(f"builtin {name} needs --n")
-            return presentations.builtin(name, args.n)
-        if name in presentations.BUILTIN_PRESENTATIONS:
-            return presentations.builtin(name)
-        raise CliError(f"unknown builtin presentation {name!r}")
-    text = None
+        if args.builtin in _DIHEDRAL and args.n is None:
+            raise CliError(f"builtin {args.builtin} needs --n")
+        return presentations.builtin(args.builtin, *(() if args.n is None else (args.n,)))
+    text = args.presentation
     if args.file:
         try:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read {args.file}: {exc.strerror or exc}") from exc
-    elif getattr(args, "presentation", None):
-        text = args.presentation
-    if text is None:
-        raise CliError("provide a presentation (inline, --file, or --builtin)")
     try:
         return presentations.parse_presentation(text)
     except PresentationSyntaxError as exc:
@@ -81,11 +85,19 @@ def _realize(pres: Presentation, coset_cap: int) -> RealizedGroup:
 
 
 def _load_group(args) -> Group:
-    if args.builtin:
-        m = _SYMMETRIC.match(args.builtin)
-        if m:
-            return symmetric_group(int(m.group(1)))
-    return _realize(_load_presentation(args), args.coset_cap)
+    m = _SYMMETRIC.match(args.builtin or "")
+    if m is None:
+        return _realize(_load_presentation(args), args.coset_cap)
+    _sources(args)
+    return symmetric_group(int(m.group(1)))
+
+
+def _reversibility(group: RealizedGroup) -> dict:
+    """The status and, if not reversible, the witness, as ``reversible`` prints them in JSON."""
+    witness = check_reversible(group)
+    if witness is None:
+        return {"status": "reversible"}
+    return {"status": "not_reversible", "witness": {"relator": str(witness[0]), "reverse": str(witness[1])}}
 
 
 def _parse_permutation_factors(group: PermutationGroup, text: str) -> List[int]:
@@ -125,15 +137,10 @@ def _parse_permutation_factors(group: PermutationGroup, text: str) -> List[int]:
 
 
 def _parse_word_factors(group: RealizedGroup, text: str):
-    parts = [p for p in (text.split(",") if "," in text else text.split()) if p.strip()]
-    if not parts:
-        raise CliError("empty factorization")
-    ws = []
-    for part in parts:
-        try:
-            ws.append(presentations.parse_word(group.realization.origin.generators, part.strip()))
-        except PresentationSyntaxError as exc:
-            raise CliError(f"cannot parse factor {part.strip()!r}: {exc}") from exc
+    try:
+        ws = presentations.parse_factors(group.realization.origin.generators, text)
+    except PresentationSyntaxError as exc:
+        raise CliError(f"cannot parse factors: {exc}") from exc
     return ws, [group.evaluate_word(w) for w in ws]
 
 
@@ -154,28 +161,20 @@ def cmd_realize(args) -> int:
         "reversible": None,
     }
     if isinstance(group, RealizedGroup):
-        report = check_reversible(group.realization.origin, group)
-        info["reversible"] = report.status.value
-        if report.witness:
-            info["witness"] = {
-                "relator": str(report.witness[0]),
-                "reverse": str(report.witness[1]),
-            }
+        answer = _reversibility(group)
+        info["reversible"] = answer.pop("status")
+        info.update(answer)
     if args.format == "json":
         print(json.dumps(info))
     else:
         print(f"order: {info['order']}")
-        print(
-            "generator orders: "
-            + ", ".join(str(k) for k in info["generator_orders"])
-        )
+        print("generator orders: " + ", ".join(map(str, info["generator_orders"])))
         if info["reversible"] is None:
             print("reversible: n/a (not presentation-based)")
         elif info["reversible"] == "reversible":
             print("reversible: yes")
         else:
-            w = info["witness"]
-            print(f"reversible: no (relator {w['relator']} has reverse {w['reverse']} != 1)")
+            print(f"reversible: no ({_WITNESS.format(**info['witness'])})")
     return EXIT_OK
 
 
@@ -213,40 +212,18 @@ def cmd_orbit(args) -> int:
 
 def cmd_check(args) -> int:
     groups = None
-    if args.builtin or args.file or args.presentation:
+    if _sources(args):
         group = _load_group(args)
-        domain = equalities.STATEMENTS[args.theorem].domain
-        if domain.words and not isinstance(group, RealizedGroup):
-            raise CliError(f"{args.theorem} samples words, and {args.builtin} has no presentation")
-        if domain.reversible:
-            report = check_reversible(group.realization.origin, group)
-            if report.status is not Reversibility.REVERSIBLE:
-                print(
-                    f"refused: presentation is not reversible "
-                    f"({report.status.value})"
-                )
-                return EXIT_USAGE
         groups = {group.name: group}
     result = equalities.run_check(
-        args.theorem,
-        samples=args.samples,
-        seed=args.seed,
-        node_cap=args.node_cap,
-        groups=groups,
-        exponent_range=args.range,
+        args.theorem, samples=args.samples, seed=args.seed, node_cap=args.node_cap,
+        groups=groups, exponent_range=args.range,
     )
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "theorem": result.name,
-                    "samples": result.samples,
-                    "failures": result.failures,
-                    "inconclusive": result.inconclusive,
-                    "passed": result.passed,
-                }
-            )
-        )
+        print(json.dumps({
+            "theorem": result.name, "samples": result.samples, "failures": result.failures,
+            "inconclusive": result.inconclusive, "passed": result.passed,
+        }))
     else:
         status = "pass" if result.passed else "FAIL"
         print(
@@ -276,31 +253,20 @@ def cmd_scan_g6(args) -> int:
 
 
 def cmd_reversible(args) -> int:
-    pres = _load_presentation(args)
-    group = _realize(pres, args.coset_cap)
-    report = check_reversible(pres, group)
+    answer = _reversibility(_realize(_load_presentation(args), args.coset_cap))
     if args.format == "json":
-        out = {"status": report.status.value}
-        if report.witness:
-            out["witness"] = {
-                "relator": str(report.witness[0]),
-                "reverse": str(report.witness[1]),
-            }
-        print(json.dumps(out))
-    elif report.status is Reversibility.REVERSIBLE:
+        print(json.dumps(answer))
+    elif "witness" not in answer:
         print("reversible")
     else:
-        r, rev = report.witness
-        print(f"not reversible: relator {r} has reverse {rev} != 1")
+        print(f"not reversible: {_WITNESS.format(**answer['witness'])}")
     return EXIT_OK
 
 
 def cmd_double_reverse(args) -> int:
-    pres = _load_presentation(args)
-    group = _realize(pres, args.coset_cap)
+    group = _realize(_load_presentation(args), args.coset_cap)
     ws, keys = _parse_word_factors(group, args.factors)
-    reversible = check_reversible(pres, group).status is Reversibility.REVERSIBLE
-    note = "" if reversible else "no guarantee: presentation not reversible"
+    note = "" if check_reversible(group) is None else "no guarantee: presentation not reversible"
     dr = equalities.STATEMENTS["double-reverse"].transform(tuple(ws))
     f, out = Factorization(group, tuple(keys)), equalities.evaluate_tuple(group, dr)
     left, right, verdict = equalities.compare_sizes(f, out, args.node_cap)
@@ -393,7 +359,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (PresentationSyntaxError, ValueError, words.AlphabetMismatchError) as exc:
+    except ValueError as exc:  # PresentationSyntaxError and AlphabetMismatchError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:  # the reader left early, as ``| head`` does

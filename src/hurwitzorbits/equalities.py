@@ -367,8 +367,6 @@ STATEMENTS: Dict[str, Statement] = {
     ),
 }
 THEOREM_NAMES = tuple(STATEMENTS)
-# suites that sample words over a presentation, not elements of a group
-WORD_SUITES = tuple(name for name, s in STATEMENTS.items() if s.domain.words)
 
 
 @dataclass
@@ -405,9 +403,11 @@ def run_check(
 ) -> CheckResult:
     """Check one statement of STATEMENTS on sampled inputs.
 
-    ``groups`` replaces the default groups; the word suites (WORD_SUITES)
-    sample words over each group's presentation, so they need realized
-    groups.
+    ``groups`` replaces the default groups. The domain's hypotheses are
+    enforced, never assumed: a word domain samples words over each group's
+    presentation, so it needs realized groups, and a reversible one refuses
+    a group with a relator whose reverse is not 1. A refusal is a
+    ``ValueError`` that names the group.
     """
     if name not in STATEMENTS:
         raise ValueError(f"unknown theorem {name!r}; known: {THEOREM_NAMES}")
@@ -419,9 +419,15 @@ def run_check(
     domain = statement.domain
     if groups is None:
         groups = default_check_groups(domain.words)
-    bare = sorted(n for n, g in groups.items() if domain.words and not isinstance(g, RealizedGroup))
-    if bare:
-        raise ValueError(f"{name} samples words, which needs a presentation; {', '.join(bare)} has none")
+    for group_name, group in sorted(groups.items()):
+        if domain.words and not isinstance(group, RealizedGroup):
+            raise ValueError(f"{name} samples words, which needs a presentation; {group_name} has none")
+        witness = domain.reversible and presentations.check_reversible(group)
+        if witness:
+            raise ValueError(
+                f"{name} holds over reversible presentations; in {group_name} "
+                f"the relator {witness[0]} has reverse {witness[1]} != 1"
+            )
     targets = [(n, g, domain.pool(g)) for n, g in sorted(groups.items())]
     rng = random.Random(seed)
     if domain.words:

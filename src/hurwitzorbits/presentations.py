@@ -11,12 +11,13 @@ Grammar (whitespace separates factors)::
 
 An equation chain ``u1 = u2 = ... = uk`` contributes the relators
 ``u_i * u_{i+1}^-1`` for each adjacent pair. A text spelling more than
-``MAX_LETTERS`` letters is refused before its exponents are expanded.
+``MAX_LETTERS`` letters is refused before its exponents are expanded, and
+so is a factor list (``parse_factors``) or a builtin family's relator.
 """
 
 from __future__ import annotations
 
-import enum
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -43,19 +44,6 @@ class Presentation:
         for r in self.relators:
             if r.alphabet != self.generators:
                 raise ValueError("relator alphabet does not match generators")
-
-
-class Reversibility(enum.Enum):
-    REVERSIBLE = "reversible"
-    NOT_REVERSIBLE = "not_reversible"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class ReversibilityReport:
-    status: Reversibility
-    witness: Optional[Tuple[Word, Word]] = None  # (relator, its reverse)
-    cap_hit: bool = False
 
 
 # --- tokenizer / parser ---------------------------------------------------
@@ -200,6 +188,25 @@ def parse_word(alphabet: Sequence[str], text: str) -> Word:
     return w
 
 
+def parse_factors(alphabet: Sequence[str], text: str) -> Tuple[Word, ...]:
+    """Parse terms separated by commas or, in a text without a comma, by
+    whitespace: ``a b, b`` is the words ``a b`` and ``b``, ``a b`` the words
+    ``a`` and ``b``. The whole list shares one ``MAX_LETTERS`` budget, and
+    error positions count from the start of ``text``."""
+    parser = _Parser("", tuple(alphabet))
+    factors = []
+    for m in re.finditer(r"[^,]+" if "," in text else r"\S+", text):
+        if m.group().isspace():
+            continue
+        parser.tokens = [(kind, value, m.start() + at) for kind, value, at in _tokenize(m.group())]
+        parser.pos = 0
+        factors.append(parser.parse_term())
+        parser.take("END")
+    if not factors:
+        raise PresentationSyntaxError("no factors", len(text))
+    return tuple(factors)
+
+
 def render_presentation(p: Presentation) -> str:
     rels = ", ".join(words.render(r) for r in p.relators) or "1 = 1"
     return f"<{', '.join(p.generators)} | {rels}>"
@@ -263,10 +270,11 @@ def shephard(p: Sequence[int], q: Sequence[int]) -> Presentation:
     n = len(p)
     if n < 1 or len(q) != n - 1:
         raise ValueError("need p_1..p_n and q_1..q_{n-1}")
-    if any(pi < 1 for pi in p):
-        raise ValueError("generator orders p_i must be >= 1")
-    if any(qi < 2 for qi in q):
-        raise ValueError("braid lengths q_i must be >= 2")
+    # s_i^{p_i} spells p_i letters and a braid relation 2 q_i, at most MAX_LETTERS
+    if not all(1 <= pi <= MAX_LETTERS for pi in p):
+        raise ValueError(f"generator orders p_i must be in 1..{MAX_LETTERS}")
+    if not all(2 <= qi <= MAX_LETTERS // 2 for qi in q):
+        raise ValueError(f"braid lengths q_i must be in 2..{MAX_LETTERS // 2}")
     alphabet = tuple(f"s{i + 1}" for i in range(n))
     relators = []
     for i, pi in enumerate(p):
@@ -298,8 +306,8 @@ def coxeter(matrix: Sequence[Sequence[int]]) -> Presentation:
             raise ValueError("Coxeter matrix diagonal must be 1")
         for j in range(i + 1, n):
             m = matrix[i][j]
-            if m != matrix[j][i] or m < 2:
-                raise ValueError("Coxeter matrix must be symmetric with m_ij >= 2")
+            if m != matrix[j][i] or not 2 <= m <= MAX_LETTERS // 2:  # (s_i s_j)^m spells 2m letters
+                raise ValueError(f"Coxeter matrix must be symmetric with m_ij in 2..{MAX_LETTERS // 2}")
             lhs = _alternating(i, j, m, alphabet)
             rhs = _alternating(j, i, m, alphabet)
             relators.append(words.concat(lhs, words.invert(rhs)))
@@ -322,7 +330,7 @@ def builtin(name: str, *params) -> Presentation:
         factory = BUILTIN_PRESENTATIONS[name]
     except KeyError:
         raise ValueError(
-            f"unknown builtin {name!r}; known: {sorted(BUILTIN_PRESENTATIONS)}"
+            f"unknown builtin presentation {name!r}; known: {sorted(BUILTIN_PRESENTATIONS)}"
         ) from None
     return factory(*params)
 
@@ -330,20 +338,16 @@ def builtin(name: str, *params) -> Presentation:
 # --- reversibility ---------------------------------------------------------
 
 
-def check_reversible(p: Presentation, group) -> ReversibilityReport:
-    """Decide the reversible-relations predicate in a group realized from p.
+def check_reversible(group) -> Optional[Tuple[Word, Word]]:
+    """The first relator of the group's presentation whose reverse is not 1
+    in ``group``, with that reverse; None when every reverse is 1.
 
-    A relator's reverse lies in the normal closure of the relators exactly
-    when it evaluates to the identity in ``group``, a ``RealizedGroup`` of
-    p. When no finite realization is available (``None``, or ``Capped``
-    enumeration), the answer is Unknown.
+    ``group`` is a ``RealizedGroup``, and its presentation is
+    ``group.realization.origin``. A relator's reverse lies in the normal
+    closure of the relators exactly when it evaluates to the identity there.
     """
-    from .toddcoxeter import Capped
-
-    if group is None or isinstance(group, Capped):
-        return ReversibilityReport(Reversibility.UNKNOWN, cap_hit=True)
-    for r in p.relators:
+    for r in group.realization.origin.relators:
         rev = words.reverse(r)
         if group.evaluate_word(rev) != group.identity:
-            return ReversibilityReport(Reversibility.NOT_REVERSIBLE, witness=(r, rev))
-    return ReversibilityReport(Reversibility.REVERSIBLE)
+            return r, rev
+    return None

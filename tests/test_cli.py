@@ -245,15 +245,17 @@ def test_check_runs_on_the_given_group(capsys, monkeypatch):
 def test_check_word_suite_needs_a_presentation(capsys, suite):
     code, _, err = run(capsys, "check", suite, "--builtin", "s3", "--samples", "2")
     assert code == EXIT_USAGE
-    assert "no presentation" in err
+    assert "needs a presentation; S3 has none" in err
 
 
 def test_check_double_reverse_refuses_non_reversible(capsys):
-    code, out, _ = run(
-        capsys, "check", "double-reverse", "--builtin", "q8-ijk", "--samples", "5"
-    )
-    assert code == EXIT_USAGE
-    assert "refused" in out
+    for fmt in ("text", "json"):
+        code, out, err = run(
+            capsys, "check", "double-reverse", "--builtin", "q8-ijk", "--samples", "5", "--format", fmt
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "relator i j k m has reverse m k j i" in err
 
 
 def test_check_double_reverse_allows_reversible(capsys):
@@ -394,6 +396,8 @@ def _limit_memory():
         ["orbit", "--builtin", "g4", "a^1000000000 b"],
         ["realize", "<a | a^-1000000000>"],
         ["realize", "--builtin", "dihedral-inv", "--n", "1000000000"],
+        # each factor within the bound, the list far past it
+        ["orbit", "--builtin", "g4", ", ".join(["a^999999"] * 40)],
     ],
 )
 def test_huge_exponent_is_refused_before_expansion(argv):
@@ -407,6 +411,29 @@ def test_huge_exponent_is_refused_before_expansion(argv):
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == b""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["realize", "--builtin", "g4", "<a | a^5>"],
+        ["realize", "--file", "p.txt", "<a | a^5>"],
+        ["realize", "--builtin", "g4", "--file", "p.txt"],
+        ["orbit", "--builtin", "s3", "--presentation", "<a | a^5>", "(1 2)"],
+        ["double-reverse", "--file", "p.txt", "--presentation", "<a | a^5>", "a"],
+        ["check", "cycle", "--n", "4"],
+        ["check", "cycle", "--builtin", "g4", "--n", "4"],
+        ["realize", "--builtin", "s3", "--n", "4"],
+        ["reversible", "<a | a^5>", "--n", "4"],
+    ],
+)
+def test_one_group_source(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.txt").write_text("<a | a^3>", encoding="utf-8")
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "give one group source" in err or "--n goes with" in err
 
 
 def test_no_command_is_usage(capsys):

@@ -134,7 +134,7 @@ def test_statements_are_the_cli_suites():
         "pair-swap", "pair-inverse", "cycle", "flip-inverse", "conjugate",
         "involution-reverse", "double-reverse", "closed-form", "mirror-moves",
     )
-    assert equalities.WORD_SUITES == ("double-reverse", "mirror-moves")
+    assert [n for n, s in STATEMENTS.items() if s.domain.words] == ["double-reverse", "mirror-moves"]
     assert [n for n, s in STATEMENTS.items() if s.identity] == ["closed-form", "mirror-moves"]
     assert [n for n, s in STATEMENTS.items() if s.domain.reversible] == ["double-reverse"]
 
@@ -271,6 +271,18 @@ def test_run_check_rejects_negative_exponent_range(s3):
 def test_run_check_word_suite_needs_a_presentation(s3, g4_group, name):
     with pytest.raises(ValueError, match="needs a presentation; S3 has none"):
         run_check(name, samples=2, groups={"S3": s3, "G4": g4_group})
+
+
+def test_run_check_refuses_a_presentation_that_is_not_reversible(g6_group, q8_ijk_group):
+    # sampled anyway, this group gives false failures of the theorem
+    with pytest.raises(ValueError, match="Q8ijk the relator i j k m has reverse m k j i != 1"):
+        run_check("double-reverse", samples=30, seed=1, groups={"G6": g6_group, "Q8ijk": q8_ijk_group})
+
+
+def test_mirror_moves_needs_no_reversible_presentation(q8_ijk_group):
+    # the identity holds in the free group, whatever the relators
+    result = run_check("mirror-moves", samples=30, seed=1, groups={"Q8ijk": q8_ijk_group})
+    assert result.passed and result.samples == 30
 
 
 def test_run_check_deterministic():

@@ -1,19 +1,24 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import hurwitzorbits
 
 from hurwitzorbits import presentations as P
 from hurwitzorbits import words
 from hurwitzorbits.presentations import (
     PresentationSyntaxError,
-    Reversibility,
     check_reversible,
     parse_presentation,
     parse_word,
     render_presentation,
 )
 from hurwitzorbits.groups import RealizedGroup
-from hurwitzorbits.toddcoxeter import Capped, enumerate_cosets
+from hurwitzorbits.toddcoxeter import enumerate_cosets
 from hurwitzorbits.words import Word
 
 
@@ -60,6 +65,29 @@ def test_syntax_error_position():
     with pytest.raises(PresentationSyntaxError) as exc:
         parse_presentation("<a | a^>")
     assert exc.value.position == 6
+
+
+def test_parse_factors_splits_on_commas_else_whitespace():
+    ab = ("a", "b")
+    assert [str(w) for w in P.parse_factors(ab, "a b, b,, a^-2 ,")] == ["a b", "b", "a^-2"]
+    assert [str(w) for w in P.parse_factors(ab, " a  b^2 1 ")] == ["a", "b^2", "1"]
+    with pytest.raises(PresentationSyntaxError, match="no factors"):
+        P.parse_factors(ab, " , ")
+
+
+def test_parse_factors_counts_positions_in_the_whole_text():
+    with pytest.raises(PresentationSyntaxError) as exc:
+        P.parse_factors(("a", "b"), "a b, b c")
+    assert exc.value.position == 7
+
+
+def test_parse_factors_shares_one_letter_budget(monkeypatch):
+    monkeypatch.setattr(P, "MAX_LETTERS", 10)
+    assert len(P.parse_factors(("a",), "a^5, a^-5")) == 2
+    with pytest.raises(PresentationSyntaxError, match="more than 10 letters"):
+        P.parse_factors(("a",), "a^5, a^-5, a")
+    with pytest.raises(PresentationSyntaxError, match="more than 10 letters"):
+        P.parse_factors(("a",), "a^5 a^-5 a")
 
 
 def test_unknown_generator():
@@ -121,6 +149,51 @@ def test_coxeter_is_shephard_special_case():
     assert r.order == 24
 
 
+def _limit_memory():
+    import resource
+
+    limit = 1 << 30  # 1 GiB of address space: an expansion of 10^9 letters fails fast
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "shephard([10**9, 3], [3])",
+        "shephard([3, 3], [10**9])",
+        "coxeter([[1, 10**9], [10**9, 1]])",
+        f"coxeter([[1, {P.MAX_LETTERS // 2 + 1}], [{P.MAX_LETTERS // 2 + 1}, 1]])",
+    ],
+)
+def test_huge_family_parameters_are_refused_before_expansion(call):
+    # run in a child under a memory limit: an unchecked expansion would
+    # take gigabytes, and there it fails with a MemoryError
+    src = str(Path(hurwitzorbits.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"""
+from hurwitzorbits import presentations as P
+try:
+    P.{call}
+except ValueError as exc:
+    print("refused:", exc)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().startswith("refused: ")
+
+
+def test_family_relators_at_the_letter_bound_are_built(monkeypatch):
+    monkeypatch.setattr(P, "MAX_LETTERS", 10)
+    assert len(P.coxeter([[1, 5], [5, 1]]).relators[2]) == 10
+    assert len(P.shephard([10, 2], [5]).relators[0]) == 10
+    with pytest.raises(ValueError, match=r"m_ij in 2\.\.5"):
+        P.coxeter([[1, 6], [6, 1]])
+    with pytest.raises(ValueError, match=r"p_i must be in 1\.\.10"):
+        P.shephard([11], [])
+    with pytest.raises(ValueError, match=r"q_i must be in 2\.\.5"):
+        P.shephard([2, 2], [6])
+
+
 def test_builtin_invalid_parameters():
     with pytest.raises(ValueError):
         P.dihedral_rs(0)
@@ -142,38 +215,25 @@ def test_builtin_relators_hold_in_realization():
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_dihedral_rs_reversible(n):
-    pres = P.dihedral_rs(n)
-    assert check_reversible(pres, RealizedGroup(enumerate_cosets(pres))).status is Reversibility.REVERSIBLE
+    assert check_reversible(RealizedGroup(enumerate_cosets(P.dihedral_rs(n)))) is None
 
 
 def test_dihedral_inv_reversible():
-    pres = P.dihedral_inv(6)
-    assert check_reversible(pres, RealizedGroup(enumerate_cosets(pres))).status is Reversibility.REVERSIBLE
+    assert check_reversible(RealizedGroup(enumerate_cosets(P.dihedral_inv(6)))) is None
 
 
 def test_q8_ab_reversible(q8_ab_group):
-    pres = q8_ab_group.realization.origin
-    assert check_reversible(pres, q8_ab_group).status is Reversibility.REVERSIBLE
+    assert check_reversible(q8_ab_group) is None
 
 
 def test_q8_ijk_not_reversible(q8_ijk_group):
-    pres = q8_ijk_group.realization.origin
-    report = check_reversible(pres, q8_ijk_group)
-    assert report.status is Reversibility.NOT_REVERSIBLE
-    relator, rev = report.witness
+    relator, rev = check_reversible(q8_ijk_group)
     assert str(relator) == "i j k m"
     assert str(rev) == "m k j i"
     # the reverse evaluates to the unique order-2 element (-1)
     g = q8_ijk_group.evaluate_word(rev)
     assert g != q8_ijk_group.identity
     assert q8_ijk_group.element_order(g) == 2
-
-
-def test_unknown_when_capped():
-    pres = P.g6()
-    report = check_reversible(pres, Capped(coset_cap=3))
-    assert report.status is Reversibility.UNKNOWN
-    assert report.cap_hit
 
 
 def reversible_by_shortcut(relator: Word) -> bool:
@@ -199,7 +259,7 @@ def reversible_by_shortcut(relator: Word) -> bool:
 def test_shortcut_agrees_with_full_check():
     for pres in (P.dihedral_rs(6), P.dihedral_inv(5), P.g4(), P.g6(), P.shephard([3, 3], [4])):
         group = RealizedGroup(enumerate_cosets(pres))
-        assert check_reversible(pres, group).status is Reversibility.REVERSIBLE
+        assert check_reversible(group) is None
         for rel in pres.relators:
             assert reversible_by_shortcut(rel), str(rel)
 
