@@ -2,7 +2,9 @@
 
 Commands: realize, orbit, check, scan-g6, reversible, double-reverse.
 A group comes from one source: ``--builtin`` (``--n`` only if dihedral),
-``--file`` or a presentation text. ``check`` samples one entry of
+``--file`` or a presentation text. ``--coset-cap`` bounds the enumeration of
+that source's presentation, so a value other than the default is refused with
+no source or with a builtin ``sN``, which has none. ``check`` samples one entry of
 ``equalities.STATEMENTS`` with ``run_check``, which refuses a group outside
 the entry's domain; ``double-reverse`` applies its double-reverse entry to
 the given words. A refusal is one ``error:`` line on stderr. Exit codes: 0
@@ -44,13 +46,16 @@ class CliError(Exception):
 
 
 def _sources(args) -> List[str]:
-    """The group sources given: at most one, and ``--n`` only with a dihedral builtin."""
+    """The group sources given: at most one; ``--n`` only with a dihedral builtin,
+    and a ``--coset-cap`` other than the default only with a presentation."""
     named = (("--builtin", args.builtin), ("--file", args.file), ("a presentation", args.presentation))
     given = [flag for flag, value in named if value]
     if len(given) > 1:
         raise CliError(f"give one group source, not {' and '.join(given)}")
     if args.n is not None and args.builtin not in _DIHEDRAL:
         raise CliError(f"--n goes with --builtin {' or '.join(_DIHEDRAL)}")
+    if args.coset_cap != DEFAULT_COSET_CAP and (not given or _SYMMETRIC.match(args.builtin or "")):
+        raise CliError("--coset-cap goes with a presentation: inline, --file, or a --builtin other than sN")
     return given
 
 
@@ -58,6 +63,8 @@ def _load_presentation(args) -> Presentation:
     if not _sources(args):
         raise CliError("provide a presentation (inline, --file, or --builtin)")
     if args.builtin:
+        if _SYMMETRIC.match(args.builtin):
+            raise CliError(f"{args.command} needs a presentation; builtin {args.builtin} has none")
         if args.builtin in _DIHEDRAL and args.n is None:
             raise CliError(f"builtin {args.builtin} needs --n")
         return presentations.builtin(args.builtin, *(() if args.n is None else (args.n,)))
@@ -86,10 +93,13 @@ def _realize(pres: Presentation, coset_cap: int) -> RealizedGroup:
 
 def _load_group(args) -> Group:
     m = _SYMMETRIC.match(args.builtin or "")
-    if m is None:
-        return _realize(_load_presentation(args), args.coset_cap)
-    _sources(args)
-    return symmetric_group(int(m.group(1)))
+    if m is not None:
+        _sources(args)
+        return symmetric_group(int(m.group(1)))
+    group = _realize(_load_presentation(args), args.coset_cap)
+    if args.builtin or args.file:  # named by its source; inline text keeps the default name
+        group.name = args.file or args.builtin + ("" if args.n is None else f"({args.n})")
+    return group
 
 
 def _reversibility(group: RealizedGroup) -> dict:

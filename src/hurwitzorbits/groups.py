@@ -9,7 +9,8 @@ permutation groups alike: every Hurwitz move reads its pair's images from
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+import itertools
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .toddcoxeter import CayleyRealization
 from .words import AlphabetMismatchError, Word
@@ -164,36 +165,27 @@ def cycle_notation(perm: Tuple[int, ...]) -> str:
 
 
 class PermutationGroup(Group):
-    """Permutations of {1..n}, closed from the generators.
+    """A group of permutations of {1..n}, given by all its elements.
 
-    A key is the permutation's position in the sorted list of the group's
-    elements, so the keys are 0..order-1, the identity is 0, and in S_n a
-    key is the Lehmer rank of its permutation.
+    A key is the permutation's position in the sorted list of the elements,
+    so the keys are 0..order-1, the identity is 0, and in S_n a key is the
+    Lehmer rank of its permutation. Each generator must be an element.
     """
 
-    def __init__(self, degree: int, generators: Sequence[Tuple[int, ...]], name: str = "perm-group"):
+    def __init__(
+        self,
+        degree: int,
+        elements: Iterable[Tuple[int, ...]],
+        generators: Sequence[Tuple[int, ...]],
+        name: str = "perm-group",
+    ):
         self.degree = degree
         self.name = name
-        for g in generators:
-            if sorted(g) != list(range(degree)):
-                raise ValueError(f"{g} is not a permutation of 0..{degree - 1}")
-        identity = tuple(range(degree))
-        elements = {identity}
-        frontier = [identity]
-        while frontier:
-            new = []
-            for p in frontier:
-                for g in generators:
-                    q = _compose(p, g)
-                    if q not in elements:
-                        elements.add(q)
-                        new.append(q)
-            frontier = new
         self._perms = sorted(elements)
         self.order = len(self._perms)
         self.identity = 0  # the identity sorts first
         self._keys = {p: k for k, p in enumerate(self._perms)}
-        self.generator_keys = tuple(self._keys[tuple(g)] for g in generators)
+        self.generator_keys = tuple(map(self.key_of, generators))
 
     def permutation(self, key: int) -> Tuple[int, ...]:
         self._check(key)
@@ -219,14 +211,10 @@ class PermutationGroup(Group):
 
 
 def symmetric_group(n: int) -> PermutationGroup:
-    """Full S_n for 1 <= n <= 8; a key is the permutation's index in
+    """Full S_n for 1 <= n <= 8, generated by the adjacent transpositions (the
+    identity alone for S1); a key is the permutation's index in
     ``itertools.permutations(range(n))``, its Lehmer rank."""
     if not 1 <= n <= 8:
         raise ValueError("symmetric_group supports 1 <= n <= 8")
-    if n == 1:
-        return PermutationGroup(1, [(0,)], name="S1")
-    transpositions = [
-        tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
-        for i in range(n - 1)
-    ]
-    return PermutationGroup(n, transpositions, name=f"S{n}")
+    transpositions = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n)) for i in range(n - 1)]
+    return PermutationGroup(n, itertools.permutations(range(n)), transpositions or [(0,)], name=f"S{n}")

@@ -56,15 +56,30 @@ class DihedralGroup(Group):
         return rot + (" f" if e else "") if (k or e) else "1"
 
 
+def permutation_group(degree: int, generators, name: str = "perm-group") -> PermutationGroup:
+    """The group that the permutations of 0..degree-1 in ``generators``
+    generate, closed breadth-first under composition."""
+    for g in generators:
+        if sorted(g) != list(range(degree)):
+            raise ValueError(f"{g} is not a permutation of 0..{degree - 1}")
+    identity = tuple(range(degree))
+    elements, frontier = {identity}, [identity]
+    while frontier:
+        new = {tuple(g[i] for i in p) for p in frontier for g in generators} - elements  # p, then g
+        elements |= new
+        frontier = list(new)
+    return PermutationGroup(degree, elements, generators, name=name)
+
+
 def dihedral_permutation_group(n: int) -> PermutationGroup:
     """D_2n acting on n points: an n-cycle and a reflection."""
     if n == 1:
-        return PermutationGroup(2, [(1, 0)], name="D2")
+        return permutation_group(2, [(1, 0)], name="D2")
     if n == 2:
-        return PermutationGroup(4, [(1, 0, 3, 2), (0, 1, 3, 2)], name="D4")
+        return permutation_group(4, [(1, 0, 3, 2), (0, 1, 3, 2)], name="D4")
     rotation = tuple(list(range(1, n)) + [0])
     reflection = tuple((n - i) % n for i in range(n))
-    return PermutationGroup(n, [rotation, reflection], name=f"D{2 * n}")
+    return permutation_group(n, [rotation, reflection], name=f"D{2 * n}")
 
 
 # --- unit quaternions ----------------------------------------------------------

@@ -14,8 +14,11 @@ from hurwitzorbits.cli import (
     EXIT_OK,
     EXIT_PIPE,
     EXIT_USAGE,
+    _load_group,
+    build_parser,
     main,
 )
+from hurwitzorbits.presentations import q8_ijk, render_presentation
 
 
 def run(capsys, *argv):
@@ -434,6 +437,67 @@ def test_one_group_source(capsys, tmp_path, monkeypatch, argv):
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert "give one group source" in err or "--n goes with" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "cycle", "--coset-cap", "5", "--samples", "2"],
+        ["check", "cycle", "--builtin", "s4", "--coset-cap", "5", "--samples", "2"],
+        ["orbit", "--builtin", "s3", "--coset-cap", "5", "(1 2)"],
+        ["realize", "--builtin", "s4", "--coset-cap", "5"],
+    ],
+)
+def test_coset_cap_needs_a_presentation(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "--coset-cap goes with a presentation" in err
+
+
+def test_coset_cap_bounds_a_checked_presentation(capsys):
+    code, out, err = run(capsys, "check", "cycle", "--builtin", "g4", "--coset-cap", "5", "--samples", "2")
+    assert code == EXIT_INCONCLUSIVE
+    assert out == "" and "exceeded cap of 5" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reversible", "--builtin", "s4"],
+        ["double-reverse", "--builtin", "s4", "(1 2), (2 3)"],
+    ],
+)
+def test_symmetric_builtin_has_no_presentation(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.count("\n") == 1
+    assert f"error: {argv[0]} needs a presentation; builtin s4 has none" in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--builtin", "q8-ijk"], "q8-ijk"),
+        (["--builtin", "dihedral-rs", "--n", "3"], "dihedral-rs(3)"),
+        (["--file", "p.txt"], "p.txt"),
+        (["<a | a^3>"], "<a|...>"),
+        (["--builtin", "s3"], "S3"),
+    ],
+)
+def test_check_names_a_group_by_its_source(tmp_path, monkeypatch, argv, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.txt").write_text("<a | a^3>", encoding="utf-8")
+    args = build_parser().parse_args(["check", "cycle", *argv])
+    assert _load_group(args).name == name
+
+
+def test_check_refusal_names_the_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q8.txt").write_text(render_presentation(q8_ijk()), encoding="utf-8")
+    code, out, err = run(capsys, "check", "double-reverse", "--file", "q8.txt", "--samples", "2")
+    assert code == EXIT_USAGE and out == ""
+    assert "in q8.txt the relator i j k m has reverse m k j i" in err
 
 
 def test_no_command_is_usage(capsys):

@@ -10,6 +10,7 @@ from oracles import (
     dihedral_permutation_group,
     element_order_multiset,
     orbit_dfs,
+    permutation_group,
 )
 
 from hurwitzorbits import presentations as P
@@ -44,6 +45,21 @@ def test_symmetric_group_keys_are_lexicographic_indices(n):
         assert s.key_of(p) == k and s.permutation(k) == p
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_symmetric_group_matches_the_closure_of_its_transpositions(n):
+    transpositions = []
+    for i in range(n - 1):
+        p = list(range(n))
+        p[i], p[i + 1] = p[i + 1], p[i]
+        transpositions.append(tuple(p))
+    generators = transpositions or [(0,)]  # S1 keeps the identity as its one generator
+    oracle = permutation_group(n, generators)
+    s = symmetric_group(n)
+    assert [s.permutation(k) for k in s.elements()] == [oracle.permutation(k) for k in oracle.elements()]
+    assert [s.permutation(k) for k in s.generator_keys] == generators
+    assert s.generator_keys == oracle.generator_keys
+
+
 def test_symmetric_group_bounds():
     with pytest.raises(ValueError):
         symmetric_group(0)
@@ -62,7 +78,7 @@ def test_key_roundtrip(s4):
 
 
 def test_key_of_rejects_non_member():
-    s3 = PermutationGroup(3, [(1, 0, 2)], name="<(12)>")
+    s3 = permutation_group(3, [(1, 0, 2)], name="<(12)>")
     with pytest.raises(ValueError):
         s3.key_of((1, 2, 0))
 
@@ -99,7 +115,9 @@ def test_power_and_element_order(s4):
 
 def test_permutation_group_rejects_bad_generator():
     with pytest.raises(ValueError):
-        PermutationGroup(3, [(0, 0, 1)])
+        permutation_group(3, [(0, 0, 1)])
+    with pytest.raises(ValueError):  # through key_of: a generator must be an element
+        PermutationGroup(3, [(0, 1, 2), (1, 0, 2)], [(1, 2, 0)])
 
 
 @pytest.mark.parametrize("n", range(1, 13))
