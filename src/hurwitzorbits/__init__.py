@@ -5,7 +5,7 @@ uniform finite-group interface, Hurwitz orbit enumeration, and executable
 checks of the orbit-size equality statements.
 """
 
-from .words import Word, concat, invert, is_palindrome, reduce_word, render, reverse
+from .words import Word, concat, invert, reduce_word, render, reverse
 from .presentations import (
     Presentation,
     builtin,
@@ -20,7 +20,6 @@ from .hurwitz import (
     Factorization,
     Finite,
     Orbit,
-    apply_braid,
     export_orbit_graph,
     hurwitz_move,
     orbit,

@@ -1,16 +1,17 @@
 """Command-line front door.
 
-Commands: realize, orbit, check, scan-g6, reversible, double-reverse.
-A group comes from one source: ``--builtin`` (``--n`` only if dihedral),
-``--file`` or a presentation text. ``--coset-cap`` bounds the enumeration of
-that source's presentation, so a value other than the default is refused with
-no source or with a builtin ``sN``, which has none. ``check`` samples one entry of
-``equalities.STATEMENTS`` with ``run_check``, which refuses a group outside
-the entry's domain; ``double-reverse`` applies its double-reverse entry to
-the given words. A refusal is one ``error:`` line on stderr. Exit codes: 0
-success / all pass, 1 usage or parse error, 2 property failure, 3
-cap-inconclusive under --strict, 141 the reader of stdout left early (as
-``| head`` does).
+Commands: realize, orbit, check, scan-g6, reversible, double-reverse. All but
+scan-g6 load their group with ``_load_group``, from one source: ``--builtin``
+(``--n`` only if dihedral), ``--file`` or a presentation text; a builtin or
+file names the group. Only ``check`` runs without a source, and ``reversible``
+and ``double-reverse`` refuse a builtin ``sN``, which has no presentation. A
+``--coset-cap`` other than the default bounds the enumeration of a presentation,
+so it is refused with an ``sN`` or no source. ``check`` samples one entry of
+``equalities.STATEMENTS`` with ``run_check``, which refuses a group outside the
+entry's domain; ``double-reverse`` applies its double-reverse entry to the
+given words. A refusal is one ``error:`` line on stderr. Exit codes: 0 success
+/ all pass, 1 usage or parse error, 2 property failure, 3 cap-inconclusive
+under --strict, 141 the reader of stdout left early (as ``| head`` does).
 """
 
 from __future__ import annotations
@@ -45,29 +46,42 @@ class CliError(Exception):
         self.code = code
 
 
-def _sources(args) -> List[str]:
-    """The group sources given: at most one; ``--n`` only with a dihedral builtin,
-    and a ``--coset-cap`` other than the default only with a presentation."""
+def _realize(pres: Presentation, coset_cap: int, name: Optional[str] = None) -> RealizedGroup:
+    result = enumerate_cosets(pres, coset_cap)
+    if isinstance(result, Capped):
+        raise CliError(
+            f"coset enumeration exceeded cap of {result.coset_cap} live cosets",
+            code=EXIT_INCONCLUSIVE,
+        )
+    return RealizedGroup(result, name)
+
+
+def _load_group(args) -> Optional[Group]:
+    """The group the source flags give, named by its builtin or file; None with
+    no source, which only ``check`` allows. The rules are the module docstring's."""
     named = (("--builtin", args.builtin), ("--file", args.file), ("a presentation", args.presentation))
     given = [flag for flag, value in named if value]
     if len(given) > 1:
         raise CliError(f"give one group source, not {' and '.join(given)}")
     if args.n is not None and args.builtin not in _DIHEDRAL:
         raise CliError(f"--n goes with --builtin {' or '.join(_DIHEDRAL)}")
-    if args.coset_cap != DEFAULT_COSET_CAP and (not given or _SYMMETRIC.match(args.builtin or "")):
+    symmetric = _SYMMETRIC.match(args.builtin or "")
+    if args.coset_cap != DEFAULT_COSET_CAP and (not given or symmetric):
         raise CliError("--coset-cap goes with a presentation: inline, --file, or a --builtin other than sN")
-    return given
-
-
-def _load_presentation(args) -> Presentation:
-    if not _sources(args):
+    if not given:
+        if args.command == "check":
+            return None
         raise CliError("provide a presentation (inline, --file, or --builtin)")
-    if args.builtin:
-        if _SYMMETRIC.match(args.builtin):
+    if symmetric:
+        if args.command in ("reversible", "double-reverse"):
             raise CliError(f"{args.command} needs a presentation; builtin {args.builtin} has none")
+        return symmetric_group(int(symmetric.group(1)))
+    if args.builtin:
         if args.builtin in _DIHEDRAL and args.n is None:
             raise CliError(f"builtin {args.builtin} needs --n")
-        return presentations.builtin(args.builtin, *(() if args.n is None else (args.n,)))
+        if args.n is None:
+            return _realize(presentations.builtin(args.builtin), args.coset_cap, args.builtin)
+        return _realize(presentations.builtin(args.builtin, args.n), args.coset_cap, f"{args.builtin}({args.n})")
     text = args.presentation
     if args.file:
         try:
@@ -76,30 +90,10 @@ def _load_presentation(args) -> Presentation:
         except OSError as exc:
             raise CliError(f"cannot read {args.file}: {exc.strerror or exc}") from exc
     try:
-        return presentations.parse_presentation(text)
+        pres = presentations.parse_presentation(text)
     except PresentationSyntaxError as exc:
         raise CliError(f"presentation syntax error: {exc}") from exc
-
-
-def _realize(pres: Presentation, coset_cap: int) -> RealizedGroup:
-    result = enumerate_cosets(pres, coset_cap)
-    if isinstance(result, Capped):
-        raise CliError(
-            f"coset enumeration exceeded cap of {result.coset_cap} live cosets",
-            code=EXIT_INCONCLUSIVE,
-        )
-    return RealizedGroup(result)
-
-
-def _load_group(args) -> Group:
-    m = _SYMMETRIC.match(args.builtin or "")
-    if m is not None:
-        _sources(args)
-        return symmetric_group(int(m.group(1)))
-    group = _realize(_load_presentation(args), args.coset_cap)
-    if args.builtin or args.file:  # named by its source; inline text keeps the default name
-        group.name = args.file or args.builtin + ("" if args.n is None else f"({args.n})")
-    return group
+    return _realize(pres, args.coset_cap, args.file)  # inline text keeps the default name
 
 
 def _reversibility(group: RealizedGroup) -> dict:
@@ -128,7 +122,11 @@ def _parse_permutation_factors(group: PermutationGroup, text: str) -> List[int]:
     perm = list(range(group.degree))
     used: List[int] = []
     for k, m in enumerate(matches):
-        points = [int(tok) - 1 for tok in m.group(1).split()]
+        tokens = m.group(1).split()
+        for tok in tokens:
+            if not (tok.isascii() and tok.isdigit()):
+                raise CliError(f"cycle point {tok!r} is not a number in {m.group(0)!r}")
+        points = [int(tok) - 1 for tok in tokens]
         if any(not 0 <= p < group.degree for p in points):
             raise CliError(f"cycle point out of range in {m.group(0)!r}")
         used += points
@@ -221,10 +219,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_check(args) -> int:
-    groups = None
-    if _sources(args):
-        group = _load_group(args)
-        groups = {group.name: group}
+    group = _load_group(args)
+    groups = None if group is None else {group.name: group}
     result = equalities.run_check(
         args.theorem, samples=args.samples, seed=args.seed, node_cap=args.node_cap,
         groups=groups, exponent_range=args.range,
@@ -263,7 +259,7 @@ def cmd_scan_g6(args) -> int:
 
 
 def cmd_reversible(args) -> int:
-    answer = _reversibility(_realize(_load_presentation(args), args.coset_cap))
+    answer = _reversibility(_load_group(args))
     if args.format == "json":
         print(json.dumps(answer))
     elif "witness" not in answer:
@@ -274,7 +270,7 @@ def cmd_reversible(args) -> int:
 
 
 def cmd_double_reverse(args) -> int:
-    group = _realize(_load_presentation(args), args.coset_cap)
+    group = _load_group(args)
     ws, keys = _parse_word_factors(group, args.factors)
     note = "" if check_reversible(group) is None else "no guarantee: presentation not reversible"
     dr = equalities.STATEMENTS["double-reverse"].transform(tuple(ws))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Literal, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterator, List, Literal, Optional, Sequence, Tuple, Union
 
 from .groups import Group
 
@@ -94,12 +94,6 @@ def hurwitz_move(f: Factorization, i: int, direction: Direction = FORWARD) -> Fa
     c, d = f.group.move_images(a, b)
     pair = (b, c) if direction == FORWARD else (d, a)
     return Factorization(f.group, t[: i - 1] + pair + t[i + 1 :])
-
-
-def apply_braid(f: Factorization, moves: Iterable[Tuple[int, Direction]]) -> Factorization:
-    for i, direction in moves:
-        f = hurwitz_move(f, i, direction)
-    return f
 
 
 class _Widen(Exception):

@@ -8,6 +8,7 @@ Grammar (whitespace separates factors)::
     chain        := term ("=" term)+ | term      (a bare term asserts term = 1)
     term         := "1" | factor+
     factor       := name ("^" integer)?
+    integer      := "-"? [0-9]+
 
 An equation chain ``u1 = u2 = ... = uk`` contributes the relators
 ``u_i * u_{i+1}^-1`` for each adjacent pair. A text spelling more than
@@ -50,6 +51,7 @@ class Presentation:
 
 MAX_LETTERS = 1_000_000
 
+_INTEGER = re.compile(r"-?[0-9]+")  # ASCII only: str.isdigit also takes '²' and '٣'
 _PUNCT = {"<": "LANGLE", ">": "RANGLE", "|": "PIPE", ",": "COMMA", "=": "EQ"}
 
 
@@ -64,22 +66,15 @@ def _tokenize(text: str):
             tokens.append((_PUNCT[c], c, i))
             i += 1
         elif c == "^":
-            j = i + 1
-            if j < n and text[j] == "-":
-                j += 1
-            k = j
-            while k < n and text[k].isdigit():
-                k += 1
-            if k == j:
+            m = _INTEGER.match(text, i + 1)
+            if m is None:
                 raise PresentationSyntaxError("expected integer after '^'", i)
-            tokens.append(("EXP", int(text[i + 1 : k]), i))
-            i = k
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", int(text[i:j]), i))
-            i = j
+            tokens.append(("EXP", int(m.group()), i))
+            i = m.end()
+        elif "0" <= c <= "9":
+            m = _INTEGER.match(text, i)
+            tokens.append(("INT", int(m.group()), i))
+            i = m.end()
         elif c.isalpha() or c == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):

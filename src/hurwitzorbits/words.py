@@ -96,10 +96,6 @@ def reverse(w: Word) -> Word:
     return _valid(w.alphabet, tuple(reversed(w.letters)))
 
 
-def is_palindrome(w: Word) -> bool:
-    return w.letters == tuple(reversed(w.letters))
-
-
 def render(w: Word) -> str:
     """Text form: names, inverses as ``name^-1``, runs collapsed to exponents.
 

@@ -167,6 +167,25 @@ def test_orbit_bad_cycles(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["realize", "<a | a^²>"], "presentation syntax error: expected integer after '^' (at position 6)"),
+        (["realize", "<a | a^٣>"], "presentation syntax error: expected integer after '^' (at position 6)"),
+        (["realize", "<a | a ²>"], "presentation syntax error: unexpected character '²' (at position 7)"),
+        (["orbit", "--builtin", "g4", "a^²"], "cannot parse factors: expected integer after '^' (at position 1)"),
+        (["orbit", "--builtin", "s3", "(1 ٢)"], "cycle point '٢' is not a number in '(1 ٢)'"),
+        (["orbit", "--builtin", "s3", "(1 a)"], "cycle point 'a' is not a number in '(1 a)'"),
+    ],
+    ids=["superscript", "arabic-indic", "bare-superscript", "factor", "cycle-arabic-indic", "cycle-letter"],
+)
+def test_integers_are_ascii_digits(capsys, argv, message):
+    # str.isdigit takes '²' (which int() refuses) and '٣' (which it reads as 3)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_orbit_capped_strict(capsys):
     code, out, _ = run(
         capsys,

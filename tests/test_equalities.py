@@ -157,6 +157,24 @@ def test_g4_counterexample(g4_group):
     assert (sizes["(a, a, b, b)"], sizes["(a, b, a, b)"]) == (36, 27)
 
 
+@pytest.mark.parametrize(
+    "name, p, q, summary",
+    [
+        ("g6", [2, 3], [6], "multisets: 34, uniform: 34, counterexample candidates: 0"),
+        ("g4", [3, 3], [3], "multisets: 69, uniform: 60, counterexample candidates: 9"),
+    ],
+    ids=["g6", "g4"],
+)
+def test_builtin_scans_as_its_shephard_group(name, p, q, summary):
+    # the same group on other letters: G6's involution is b in the builtin and
+    # s1 in the Shephard presentation, so rows are compared by size only
+    builtin, shephard = (
+        conjecture_scan(RealizedGroup(enumerate_cosets(pres)), 4) for pres in (P.builtin(name), P.shephard(p, q))
+    )
+    assert builtin.summary() == shephard.summary() == summary
+    assert sorted(r.orbit_size for r in builtin.rows) == sorted(r.orbit_size for r in shephard.rows)
+
+
 def test_conjecture_scan_letters_drop_repeated_elements():
     # both generators of dihedral-inv are involutions: no inverse letters
     group = RealizedGroup(enumerate_cosets(P.dihedral_inv(5)))

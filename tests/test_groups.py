@@ -25,8 +25,8 @@ from hurwitzorbits.hurwitz import (
     INVERSE,
     Factorization,
     Finite,
-    apply_braid,
     export_orbit_graph,
+    hurwitz_move,
     orbit,
     orbit_size,
 )
@@ -220,7 +220,9 @@ def test_moves_and_export_read_the_memo():
     s4 = symmetric_group(4)
     t12, t23, t34 = (s4.key_of(tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, 4))) for i in range(3))
     f = Factorization(s4, (t12, t23, t34))
-    apply_braid(f, [(1, FORWARD), (2, INVERSE), (2, FORWARD)])
+    moved = f
+    for i, d in [(1, FORWARD), (2, INVERSE), (2, FORWARD)]:
+        moved = hurwitz_move(moved, i, d)
     assert_tables_sound(s4)
     o = orbit(f)
     met = len(s4.conjugation_tables())

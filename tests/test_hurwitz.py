@@ -23,7 +23,6 @@ from hurwitzorbits.hurwitz import (
     CappedOrbitError,
     Factorization,
     Finite,
-    apply_braid,
     export_orbit_graph,
     hurwitz_move,
     orbit,
@@ -77,17 +76,6 @@ def test_move_position_bounds(s3):
 def test_move_rejects_bad_direction(s3):
     with pytest.raises(ValueError):
         hurwitz_move(fz(s3, 0, 0), 1, "sideways")
-
-
-def test_apply_braid_composes(s4):
-    rng = random.Random(3)
-    els = list(s4.elements())
-    f = fz(s4, *(rng.choice(els) for _ in range(3)))
-    moves = [(rng.choice((1, 2)), rng.choice((FORWARD, INVERSE))) for _ in range(6)]
-    step = f
-    for i, d in moves:
-        step = hurwitz_move(step, i, d)
-    assert apply_braid(f, moves) == step
 
 
 def test_factorization_requires_a_factor(s3):
@@ -233,7 +221,9 @@ def test_same_orbit_unknown_when_capped(s4):
     u = s4.key_of((0, 2, 1, 3))
     f = fz(s4, t, u, t)
     # in the orbit, but not among the first two states the search reaches
-    far = apply_braid(f, [(2, FORWARD), (1, INVERSE), (2, FORWARD)])
+    far = f
+    for i, d in [(2, FORWARD), (1, INVERSE), (2, FORWARD)]:
+        far = hurwitz_move(far, i, d)
     assert same_orbit(f, far) == "yes"
     assert same_orbit(f, far, node_cap=2) == "unknown"
     # moves preserve the product, so a different product is a sure "no"
@@ -369,8 +359,9 @@ def test_orbit_deterministic(g4_group):
 
 # Well-generated reflection groups W of rank n with |W| and the Coxeter
 # number h from the classification (Humphreys, Reflection Groups and Coxeter
-# Groups, ch. 2-3; G25 from Shephard and Todd): name -> (presentation on the
-# simple reflections, |W|, h).
+# Groups, ch. 2-3; the complex groups G4-G26 from Shephard and Todd, on
+# their Shephard presentations): name -> (presentation on the simple
+# reflections, |W|, h).
 COXETER_ELEMENT_CASES = {
     "A4": (lambda: P.coxeter(coxeter_chain(3, 3, 3)), 120, 5),
     "B4": (lambda: P.coxeter(coxeter_chain(3, 3, 4)), 384, 8),
@@ -380,7 +371,20 @@ COXETER_ELEMENT_CASES = {
     "D5": (lambda: P.coxeter(coxeter_d(5)), 1920, 8),
     "B5": (lambda: P.coxeter(coxeter_chain(3, 3, 3, 4)), 3840, 10),
     "A6": (lambda: P.coxeter(coxeter_chain(3, 3, 3, 3, 3)), 5040, 7),
+    "G4": (lambda: P.shephard([3, 3], [3]), 24, 6),
+    "G5": (lambda: P.shephard([3, 3], [4]), 72, 12),
+    "G6": (lambda: P.shephard([2, 3], [6]), 48, 12),
+    "G8": (lambda: P.shephard([4, 4], [3]), 96, 12),
+    "G9": (lambda: P.shephard([2, 4], [6]), 192, 24),
+    "G10": (lambda: P.shephard([3, 4], [4]), 288, 24),
+    "G14": (lambda: P.shephard([2, 3], [8]), 144, 24),
+    "G16": (lambda: P.shephard([5, 5], [3]), 600, 30),
+    "G17": (lambda: P.shephard([2, 5], [6]), 1200, 60),
+    "G18": (lambda: P.shephard([3, 5], [4]), 1800, 60),
+    "G20": (lambda: P.shephard([3, 3], [5]), 360, 30),
+    "G21": (lambda: P.shephard([2, 3], [10]), 720, 60),
     "G25": (lambda: P.shephard([3, 3, 3], [3, 3]), 648, 12),
+    "G26": (lambda: P.shephard([2, 3, 3], [4, 3]), 1296, 18),
 }
 
 

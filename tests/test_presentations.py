@@ -251,7 +251,7 @@ def reversible_by_shortcut(relator: Word) -> bool:
         v = words.invert(Word(relator.alphabet, relator.letters[k:]))
         if v == words.reverse(u):
             return True
-        if words.is_palindrome(u) and words.is_palindrome(v):
+        if u == words.reverse(u) and v == words.reverse(v):
             return True
     return False
 

@@ -79,12 +79,6 @@ def test_reverse_antihomomorphism_example():
     assert words.reverse(words.concat(u, v)) == w(C, B, A)
 
 
-def test_is_palindrome():
-    assert words.is_palindrome(w(A, B, A))
-    assert not words.is_palindrome(w(A, B))
-    assert words.is_palindrome(words.empty(AB))
-
-
 def _random_raw(rng, n):
     return [(rng.randrange(3), rng.choice((1, -1))) for _ in range(n)]
 
