@@ -60,12 +60,12 @@ def _load_group(args) -> Optional[Group]:
     """The group the source flags give, named by its builtin or file; None with
     no source, which only ``check`` allows. The rules are the module docstring's."""
     named = (("--builtin", args.builtin), ("--file", args.file), ("a presentation", args.presentation))
-    given = [flag for flag, value in named if value]
+    given = [flag for flag, value in named if value is not None]  # "" is a source too
     if len(given) > 1:
         raise CliError(f"give one group source, not {' and '.join(given)}")
     if args.n is not None and args.builtin not in _DIHEDRAL:
         raise CliError(f"--n goes with --builtin {' or '.join(_DIHEDRAL)}")
-    symmetric = _SYMMETRIC.match(args.builtin or "")
+    symmetric = args.builtin is not None and _SYMMETRIC.match(args.builtin)
     if args.coset_cap != DEFAULT_COSET_CAP and (not given or symmetric):
         raise CliError("--coset-cap goes with a presentation: inline, --file, or a --builtin other than sN")
     if not given:
@@ -76,14 +76,14 @@ def _load_group(args) -> Optional[Group]:
         if args.command in ("reversible", "double-reverse"):
             raise CliError(f"{args.command} needs a presentation; builtin {args.builtin} has none")
         return symmetric_group(int(symmetric.group(1)))
-    if args.builtin:
+    if args.builtin is not None:
         if args.builtin in _DIHEDRAL and args.n is None:
             raise CliError(f"builtin {args.builtin} needs --n")
         if args.n is None:
             return _realize(presentations.builtin(args.builtin), args.coset_cap, args.builtin)
         return _realize(presentations.builtin(args.builtin, args.n), args.coset_cap, f"{args.builtin}({args.n})")
     text = args.presentation
-    if args.file:
+    if args.file is not None:
         try:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()

@@ -14,6 +14,10 @@ An equation chain ``u1 = u2 = ... = uk`` contributes the relators
 ``u_i * u_{i+1}^-1`` for each adjacent pair. A text spelling more than
 ``MAX_LETTERS`` letters is refused before its exponents are expanded, and
 so is a factor list (``parse_factors``) or a builtin family's relator.
+
+``shephard`` and ``coxeter`` check their parameters and hand one builder the
+generator orders and the braid triples ``(i, j, m)``; it names ``s1..sn`` and
+spells every relator, and refuses zero generators, so ``coxeter([])`` fails.
 """
 
 from __future__ import annotations
@@ -249,9 +253,19 @@ def g6() -> Presentation:
     return parse_presentation("<a, b | a^3, b^2, a b a b a b = b a b a b a>")
 
 
-def _alternating(i: int, j: int, count: int, alphabet: Tuple[str, ...]) -> Word:
-    letters = [(i if k % 2 == 0 else j, 1) for k in range(count)]
-    return words.reduce_word(alphabet, letters)
+def _braid_presentation(orders: Sequence[int], braids: Sequence[Tuple[int, int, int]]) -> Presentation:
+    """Generators s1..sn with relators s_i^{orders[i]} and then, for each
+    ``(i, j, m)`` in the given order, s_i s_j s_i ... = s_j s_i s_j ... with m
+    letters on each side. The caller bounds the orders and the m."""
+    if not orders:
+        raise ValueError("need at least one generator")
+    alphabet = tuple(f"s{i + 1}" for i in range(len(orders)))
+    relators = [words.reduce_word(alphabet, [(i, 1)] * pi) for i, pi in enumerate(orders)]
+    for i, j, m in braids:
+        lhs = [((i, j)[k % 2], 1) for k in range(m)]
+        rhs_inverse = [((j, i)[k % 2], -1) for k in reversed(range(m))]
+        relators.append(words.reduce_word(alphabet, lhs + rhs_inverse))
+    return Presentation(alphabet, tuple(relators))
 
 
 def shephard(p: Sequence[int], q: Sequence[int]) -> Presentation:
@@ -263,39 +277,23 @@ def shephard(p: Sequence[int], q: Sequence[int]) -> Presentation:
     p = list(p)
     q = list(q)
     n = len(p)
-    if n < 1 or len(q) != n - 1:
+    if len(q) != n - 1:  # n = 0 fails too: no q has length -1
         raise ValueError("need p_1..p_n and q_1..q_{n-1}")
     # s_i^{p_i} spells p_i letters and a braid relation 2 q_i, at most MAX_LETTERS
     if not all(1 <= pi <= MAX_LETTERS for pi in p):
         raise ValueError(f"generator orders p_i must be in 1..{MAX_LETTERS}")
     if not all(2 <= qi <= MAX_LETTERS // 2 for qi in q):
         raise ValueError(f"braid lengths q_i must be in 2..{MAX_LETTERS // 2}")
-    alphabet = tuple(f"s{i + 1}" for i in range(n))
-    relators = []
-    for i, pi in enumerate(p):
-        relators.append(words.reduce_word(alphabet, [(i, 1)] * pi))
-    for i in range(n):
-        for j in range(i + 2, n):
-            relators.append(
-                words.reduce_word(
-                    alphabet, [(i, 1), (j, 1), (i, -1), (j, -1)]
-                )
-            )
-    for i, qi in enumerate(q):
-        lhs = _alternating(i, i + 1, qi, alphabet)
-        rhs = _alternating(i + 1, i, qi, alphabet)
-        relators.append(words.concat(lhs, words.invert(rhs)))
-    return Presentation(alphabet, tuple(r for r in relators if not r.is_empty))
+    far = [(i, j, 2) for i in range(n) for j in range(i + 2, n)]
+    return _braid_presentation(p, far + [(i, i + 1, qi) for i, qi in enumerate(q)])
 
 
 def coxeter(matrix: Sequence[Sequence[int]]) -> Presentation:
     """Coxeter presentation from a symmetric matrix: s_i^2, (s_i s_j)^{m_ij}."""
     n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("Coxeter matrix must be square")
-    alphabet = tuple(f"s{i + 1}" for i in range(n))
-    relators = [words.reduce_word(alphabet, [(i, 1), (i, 1)]) for i in range(n)]
+    if any(len(row) != n for row in matrix):
+        raise ValueError("Coxeter matrix must be square")
+    braids = []
     for i in range(n):
         if matrix[i][i] != 1:
             raise ValueError("Coxeter matrix diagonal must be 1")
@@ -303,10 +301,8 @@ def coxeter(matrix: Sequence[Sequence[int]]) -> Presentation:
             m = matrix[i][j]
             if m != matrix[j][i] or not 2 <= m <= MAX_LETTERS // 2:  # (s_i s_j)^m spells 2m letters
                 raise ValueError(f"Coxeter matrix must be symmetric with m_ij in 2..{MAX_LETTERS // 2}")
-            lhs = _alternating(i, j, m, alphabet)
-            rhs = _alternating(j, i, m, alphabet)
-            relators.append(words.concat(lhs, words.invert(rhs)))
-    return Presentation(alphabet, tuple(relators))
+            braids.append((i, j, m))
+    return _braid_presentation([2] * n, braids)
 
 
 BUILTIN_PRESENTATIONS = {

@@ -519,6 +519,23 @@ def test_check_refusal_names_the_file(capsys, tmp_path, monkeypatch):
     assert "in q8.txt the relator i j k m has reverse m k j i" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "cycle", "--builtin", "", "--samples", "2"], "error: unknown builtin presentation ''; known: ["),
+        (["check", "cycle", "", "--samples", "2"], "error: presentation syntax error: expected LANGLE, found None (at position 0)"),
+        (["realize", "--file", ""], "error: cannot read : No such file or directory"),
+        (["orbit", "--builtin", "g4", "--presentation", "", "a b"], "error: give one group source, not --builtin and a presentation"),
+    ],
+    ids=["builtin", "inline", "file", "presentation"],
+)
+def test_an_empty_source_is_a_source(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(message)
+
+
 def test_no_command_is_usage(capsys):
     assert main([]) == EXIT_USAGE
     capsys.readouterr()

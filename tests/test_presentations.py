@@ -104,6 +104,8 @@ def test_render_parse_roundtrip():
         P.g4(),
         P.g6(),
         P.shephard([3, 2], [6]),
+        P.shephard([2, 3, 3], [4, 3]),
+        P.coxeter([[1, 3, 2], [3, 1, 4], [2, 4, 1]]),
         parse_presentation("<a | 1 = 1>"),
     ):
         assert parse_presentation(render_presentation(p)) == p
@@ -142,11 +144,38 @@ def test_shephard_far_commutation():
     assert any(str(r) == "s1 s3 s1^-1 s3^-1" for r in p.relators)
 
 
+def test_shephard_relators_keep_their_order():
+    # powers, then far commutations, then the braid relations in the order of q
+    p = P.shephard([3, 3, 3], [3, 3])
+    assert [str(r) for r in p.relators] == [
+        "s1^3", "s2^3", "s3^3",
+        "s1 s3 s1^-1 s3^-1",
+        "s1 s2 s1 s2^-1 s1^-1 s2^-1",
+        "s2 s3 s2 s3^-1 s2^-1 s3^-1",
+    ]
+
+
+def test_coxeter_renders_its_pairs_in_row_order():
+    assert render_presentation(P.coxeter([[1, 3, 2], [3, 1, 4], [2, 4, 1]])) == (
+        "<s1, s2, s3 | s1^2, s2^2, s3^2, s1 s2 s1 s2^-1 s1^-1 s2^-1, s1 s3 s1^-1 s3^-1,"
+        " s2 s3 s2 s3 s2^-1 s3^-1 s2^-1 s3^-1>"
+    )
+
+
+def test_coxeter_needs_a_generator():
+    # zero generators would render as "< | 1 = 1>", which the parser refuses
+    with pytest.raises(ValueError, match="at least one generator"):
+        P.coxeter([])
+
+
 def test_coxeter_is_shephard_special_case():
-    # A_3 Coxeter matrix gives S_4
-    matrix = [[1, 3, 2], [3, 1, 3], [2, 3, 1]]
-    r = enumerate_cosets(P.coxeter(matrix))
-    assert r.order == 24
+    # a linear Coxeter diagram is shephard with every p_i = 2; the relators
+    # come in another order, but ids depend only on the group and its generators
+    for m1, m2, order in ((3, 3, 24), (3, 4, 48), (5, 3, 120)):  # A3, B3, H3
+        cox = enumerate_cosets(P.coxeter([[1, m1, 2], [m1, 1, m2], [2, m2, 1]]))
+        she = enumerate_cosets(P.shephard([2, 2, 2], [m1, m2]))
+        assert cox.order == she.order == order
+        assert cox.action == she.action
 
 
 def _limit_memory():
