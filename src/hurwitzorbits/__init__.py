@@ -36,7 +36,6 @@ from .equalities import (
     double_reverse,
     flip_inverse,
     invert_all,
-    remark_rotation_check,
     reverse_tuple,
     run_check,
 )

@@ -12,7 +12,6 @@ permutations in one ``orbit_sizes`` batch.
 
 from __future__ import annotations
 
-import io
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -24,10 +23,10 @@ from .hurwitz import (
     DEFAULT_NODE_CAP,
     FORWARD,
     INVERSE,
-    AtLeast,
     Factorization,
     Finite,
     hurwitz_move,
+    move_tuple,
     orbit_size,
     orbit_sizes,
 )
@@ -98,39 +97,18 @@ def double_reverse(t: WordTuple) -> WordTuple:
     return tuple(words.reverse(w) for w in reversed(t))
 
 
+def _word_image(a: Word, b: Word) -> Word:
+    """b^-1 a b in the free group."""
+    return words.concat(words.concat(words.invert(b), a), b)
+
+
 def word_tuple_move(t: WordTuple, i: int, direction: str = FORWARD) -> WordTuple:
     """A Hurwitz move on a tuple of free-group words (1-based position)."""
-    if not 1 <= i <= len(t) - 1:
-        raise ValueError(f"move position {i} out of range 1..{len(t) - 1}")
-    a, b = t[i - 1], t[i]
-    if direction == FORWARD:
-        pair = (b, words.concat(words.concat(words.invert(b), a), b))
-    elif direction == INVERSE:
-        pair = (words.concat(words.concat(a, b), words.invert(a)), a)
-    else:
-        raise ValueError(f"direction must be {FORWARD!r} or {INVERSE!r}")
-    return t[: i - 1] + pair + t[i:][1:]
+    return move_tuple(t, i, direction, _word_image, words.invert)
 
 
 def evaluate_tuple(group: RealizedGroup, t: WordTuple) -> Factorization:
     return Factorization(group, tuple(group.evaluate_word(w) for w in t))
-
-
-# --- the two-letter rotation remark ----------------------------------------
-
-
-def remark_rotation_check(pattern: Sequence) -> bool:
-    """True iff the reversed pattern is a cyclic rotation of the pattern.
-
-    Only defined for patterns over at most two distinct symbols.
-    """
-    symbols = set(pattern)
-    if len(symbols) > 2:
-        raise ValueError("pattern uses more than 2 distinct symbols")
-    seq = tuple(pattern)
-    rev = tuple(reversed(seq))
-    n = len(seq)
-    return any(seq[k:] + seq[:k] == rev for k in range(max(n, 1)))
 
 
 # --- the conjecture scan ---------------------------------------------------
@@ -140,27 +118,49 @@ def remark_rotation_check(pattern: Sequence) -> bool:
 class ScanRow:
     multiset: str
     permutation: str
-    orbit_size: Optional[int]
-    capped: bool
+    orbit_size: Optional[int]  # None where the search capped
+
+    @property
+    def capped(self) -> bool:
+        return self.orbit_size is None
 
 
 @dataclass(frozen=True)
 class ConjectureScanReport:
+    """The scan's rows; every count is read from them, by multiset."""
+
     max_len: int
     rows: Tuple[ScanRow, ...]
-    multisets: int
-    uniform: int
-    candidates: Tuple[str, ...]  # multisets with more than one observed size
+
+    def _sizes(self) -> Dict[str, List[Optional[int]]]:
+        """Each multiset's orbit sizes (None where capped), in scan order."""
+        out: Dict[str, List[Optional[int]]] = {}
+        for r in self.rows:
+            out.setdefault(r.multiset, []).append(r.orbit_size)
+        return out
+
+    @property
+    def multisets(self) -> int:
+        return len(self._sizes())
+
+    @property
+    def uniform(self) -> int:
+        """Multisets whose permutations all have one uncapped size."""
+        return sum(None not in sizes and len(set(sizes)) == 1 for sizes in self._sizes().values())
+
+    @property
+    def candidates(self) -> Tuple[str, ...]:
+        """Multisets with more than one observed size."""
+        return tuple(m for m, sizes in self._sizes().items() if len(set(sizes) - {None}) > 1)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("multiset,permutation,orbit_size,capped\n")
+        lines = ["multiset,permutation,orbit_size,capped\n"]
         for r in self.rows:
-            size = "" if r.orbit_size is None else r.orbit_size
-            out.write(
+            size = "" if r.capped else r.orbit_size
+            lines.append(
                 f"\"{r.multiset}\",\"{r.permutation}\",{size},{str(r.capped).lower()}\n"
             )
-        return out.getvalue()
+        return "".join(lines)
 
     def summary(self) -> str:
         return (
@@ -186,42 +186,15 @@ def conjecture_scan(
     keys = list(dict.fromkeys(gens + tuple(group.inverse(g) for g in gens)))
     names = [group.element_name(k) for k in keys]
     rows: List[ScanRow] = []
-    multisets = 0
-    uniform = 0
-    candidates: List[str] = []
     for length in range(1, max_len + 1):
         for combo in itertools.combinations_with_replacement(range(len(keys)), length):
-            multisets += 1
             label = "{" + ", ".join(names[i] for i in combo) + "}"
-            sizes = set()
-            any_capped = False
             perms = sorted(set(itertools.permutations(combo)))
             fs = [Factorization(group, tuple(keys[i] for i in perm)) for perm in perms]
             for perm, s in zip(perms, orbit_sizes(fs, node_cap)):
-                capped = isinstance(s, AtLeast)
-                any_capped = any_capped or capped
-                size = None if capped else s.size
-                if size is not None:
-                    sizes.add(size)
-                rows.append(
-                    ScanRow(
-                        multiset=label,
-                        permutation="(" + ", ".join(names[i] for i in perm) + ")",
-                        orbit_size=size,
-                        capped=capped,
-                    )
-                )
-            if len(sizes) <= 1 and not any_capped:
-                uniform += 1
-            elif len(sizes) > 1:
-                candidates.append(label)
-    return ConjectureScanReport(
-        max_len=max_len,
-        rows=tuple(rows),
-        multisets=multisets,
-        uniform=uniform,
-        candidates=tuple(candidates),
-    )
+                permutation = "(" + ", ".join(names[i] for i in perm) + ")"
+                rows.append(ScanRow(label, permutation, s.size if isinstance(s, Finite) else None))
+    return ConjectureScanReport(max_len=max_len, rows=tuple(rows))
 
 
 # --- the paper's statements -------------------------------------------------

@@ -3,8 +3,8 @@
 Elements are the integer keys 0..order-1, so orbit machinery can hash and
 deduplicate factorizations without caring which backend produced them. This
 module is the only place that does element arithmetic, for realized and
-permutation groups alike: every Hurwitz move reads its pair's images from
-``Group.move_images``, which memoizes them per group.
+permutation groups alike: every Hurwitz move, forward or inverse, reads
+``Group.move_image``, which memoizes b^-1 a b per group.
 """
 
 from __future__ import annotations
@@ -62,27 +62,26 @@ class Group:
             k += 1
         return k
 
-    def conjugation_tables(self) -> Dict[Tuple[int, int], Tuple[int, int]]:
-        """This group's memo of move images: (a, b) -> (b^-1 a b, a b a^-1).
+    def conjugation_tables(self) -> Dict[Tuple[int, int], int]:
+        """This group's memo of move images: (a, b) -> b^-1 a b.
 
-        It starts empty. ``move_images`` fills it with the pairs of factors
+        It starts empty. ``move_image`` fills it with the pairs of factors
         that searches and moves meet, and every search over the group shares
         it, so no conjugate is computed twice or computed when unneeded.
         """
         return self.__dict__.setdefault("_moves", {})
 
-    def move_images(self, a: int, b: int) -> Tuple[int, int]:
-        """(b^-1 a b, a b a^-1), memoized in ``conjugation_tables()``.
+    def move_image(self, a: int, b: int) -> int:
+        """b^-1 a b, memoized in ``conjugation_tables()``.
 
         A forward Hurwitz move sends the pair (a, b) to (b, b^-1 a b), and an
-        inverse move sends it to (a b a^-1, a).
+        inverse move sends it to (a b a^-1, a), the image of the pair (b, a^-1).
         """
         try:
             return self._moves[a, b]
         except (AttributeError, KeyError):
-            images = (self.conjugate(a, b), self.conjugate(b, self.inverse(a)))
-            self.conjugation_tables()[a, b] = images
-            return images
+            image = self.conjugation_tables()[a, b] = self.conjugate(a, b)
+            return image
 
 
 class RealizedGroup(Group):

@@ -6,11 +6,13 @@ the inverse move sends it to (..., x_i x_{i+1} x_i^-1, x_i, ...). Both
 preserve the left-to-right product. An orbit is the BFS closure under forward
 moves alone: each permutes the finite set G^n, so a power of it is its inverse.
 
-Both moves rewrite one adjacent pair of factors by conjugation. Every move
-here, in the orbit search, in ``hurwitz_move`` and in the graph export,
-reads the pair's images from ``Group.move_images``, the group's memo, so
-there is one code path for every backend and group order, and the work of a
-search is bounded by the orbit. One search answers every orbit query:
+Both moves rewrite one adjacent pair of factors by conjugation, so one
+splice, ``move_tuple``, makes either move on a tuple in any group given
+b^-1 a b: ``hurwitz_move`` on group keys, ``equalities.word_tuple_move`` on
+free-group words. The orbit search and the graph export read
+``Group.move_image``, the group's memo of b^-1 a b, directly, so there is one
+code path for every backend and group order, and the work of a search is
+bounded by the orbit. One search answers every orbit query:
 ``orbit``, ``orbit_sizes`` and ``same_orbit`` read the packed states it returns.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Literal, Optional, Sequence, Tuple, Union
+from typing import Callable, FrozenSet, Iterator, List, Literal, Optional, Sequence, Tuple, Union
 
 from .groups import Group
 
@@ -84,16 +86,27 @@ def product(f: Factorization) -> int:
     return out
 
 
-def hurwitz_move(f: Factorization, i: int, direction: Direction = FORWARD) -> Factorization:
-    t = f.factors
+def move_tuple(t: Tuple, i: int, direction: Direction, image: Callable, inverse: Callable) -> Tuple:
+    """The move at position i of a tuple in any group with ``image(a, b)`` = b^-1 a b.
+
+    The forward move sends the pair (a, b) to (b, image(a, b)), and the
+    inverse move to (image(b, inverse(a)), a), which is (a b a^-1, a).
+    """
     if not 1 <= i <= len(t) - 1:
         raise ValueError(f"move position {i} out of range 1..{len(t) - 1}")
-    if direction not in (FORWARD, INVERSE):
-        raise ValueError(f"direction must be {FORWARD!r} or {INVERSE!r}")
     a, b = t[i - 1], t[i]
-    c, d = f.group.move_images(a, b)
-    pair = (b, c) if direction == FORWARD else (d, a)
-    return Factorization(f.group, t[: i - 1] + pair + t[i + 1 :])
+    if direction == FORWARD:
+        pair = (b, image(a, b))
+    elif direction == INVERSE:
+        pair = (image(b, inverse(a)), a)
+    else:
+        raise ValueError(f"direction must be {FORWARD!r} or {INVERSE!r}")
+    return t[: i - 1] + pair + t[i + 1 :]
+
+
+def hurwitz_move(f: Factorization, i: int, direction: Direction = FORWARD) -> Factorization:
+    group = f.group
+    return Factorization(group, move_tuple(f.factors, i, direction, group.move_image, group.inverse))
 
 
 class _Widen(Exception):
@@ -122,10 +135,10 @@ def _search(f: Factorization, node_cap: int, keys: List[int]):
     """A forward move XORs the state with a delta set by the pair it rewrites.
 
     Each position's table maps a packed pair to its delta, shifted into
-    place and filled from ``Group.move_images`` when the pair is first met,
+    place and filled from ``Group.move_image`` when the pair is first met,
     so the work is bounded by the orbit. (a, a), which the move fixes, gets 0.
     """
-    move_images = f.group.move_images
+    move_image = f.group.move_image
     index = {x: k for k, x in enumerate(keys)}
     bits = max((len(keys) - 1).bit_length(), 1)
     mask, pair_mask = (1 << bits) - 1, (1 << 2 * bits) - 1
@@ -141,7 +154,7 @@ def _search(f: Factorization, node_cap: int, keys: List[int]):
 
     def delta(p: int) -> int:
         a, b = p >> bits, p & mask
-        return 0 if a == b else p ^ ((b << bits) | local(move_images(keys[a], keys[b])[0]))
+        return 0 if a == b else p ^ ((b << bits) | local(move_image(keys[a], keys[b])))
 
     positions = [(bits * i, {}) for i in range(len(f.factors) - 2, -1, -1)]
     seen = {_pack(f.factors, index, bits)}
@@ -260,7 +273,7 @@ def orbit_graph_pieces(o: Orbit, format: str, self_loops: bool) -> Iterator[str]
                 a, b = t[i - 1], t[i]
                 if a == b and not self_loops:
                     continue  # a forward move fixes (a, a) and nothing else
-                u = t[: i - 1] + (b, group.move_images(a, b)[0]) + t[i + 1 :]
+                u = t[: i - 1] + (b, group.move_image(a, b)) + t[i + 1 :]
                 yield k, index[u], i
 
     if format == "json":  # the layout of json.dumps(indent=2), labels escaped by json.dumps

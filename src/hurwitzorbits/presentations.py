@@ -280,9 +280,9 @@ def shephard(p: Sequence[int], q: Sequence[int]) -> Presentation:
     if len(q) != n - 1:  # n = 0 fails too: no q has length -1
         raise ValueError("need p_1..p_n and q_1..q_{n-1}")
     # s_i^{p_i} spells p_i letters and a braid relation 2 q_i, at most MAX_LETTERS
-    if not all(1 <= pi <= MAX_LETTERS for pi in p):
+    if not all(isinstance(pi, int) and 1 <= pi <= MAX_LETTERS for pi in p):
         raise ValueError(f"generator orders p_i must be in 1..{MAX_LETTERS}")
-    if not all(2 <= qi <= MAX_LETTERS // 2 for qi in q):
+    if not all(isinstance(qi, int) and 2 <= qi <= MAX_LETTERS // 2 for qi in q):
         raise ValueError(f"braid lengths q_i must be in 2..{MAX_LETTERS // 2}")
     far = [(i, j, 2) for i in range(n) for j in range(i + 2, n)]
     return _braid_presentation(p, far + [(i, i + 1, qi) for i, qi in enumerate(q)])
@@ -299,7 +299,8 @@ def coxeter(matrix: Sequence[Sequence[int]]) -> Presentation:
             raise ValueError("Coxeter matrix diagonal must be 1")
         for j in range(i + 1, n):
             m = matrix[i][j]
-            if m != matrix[j][i] or not 2 <= m <= MAX_LETTERS // 2:  # (s_i s_j)^m spells 2m letters
+            # (s_i s_j)^m spells 2m letters
+            if not isinstance(m, int) or m != matrix[j][i] or not 2 <= m <= MAX_LETTERS // 2:
                 raise ValueError(f"Coxeter matrix must be symmetric with m_ij in 2..{MAX_LETTERS // 2}")
             braids.append((i, j, m))
     return _braid_presentation([2] * n, braids)

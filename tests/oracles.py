@@ -392,7 +392,7 @@ def export_orbit_graph_reference(o, format="dot", self_loops=False):
             a, b = t[i - 1], t[i]
             if a == b and not self_loops:
                 continue  # a forward move fixes (a, a) and nothing else
-            u = t[: i - 1] + (b, group.move_images(a, b)[0]) + t[i + 1 :]
+            u = t[: i - 1] + (b, group.conjugate(a, b)) + t[i + 1 :]
             edges.append((k, index[u], i))
 
     if format == "json":
@@ -410,3 +410,20 @@ def export_orbit_graph_reference(o, format="dot", self_loops=False):
         lines.append(f'  v{a} -> v{b} [label="s{i}"];')
     lines.append("}")
     return "\n".join(lines)
+
+
+# --- the two-letter rotation remark ----------------------------------------------
+
+
+def remark_rotation_check(pattern):
+    """True iff the reversed pattern is a cyclic rotation of the pattern.
+
+    Only defined for patterns over at most two distinct symbols.
+    """
+    symbols = set(pattern)
+    if len(symbols) > 2:
+        raise ValueError("pattern uses more than 2 distinct symbols")
+    seq = tuple(pattern)
+    rev = tuple(reversed(seq))
+    n = len(seq)
+    return any(seq[k:] + seq[:k] == rev for k in range(max(n, 1)))

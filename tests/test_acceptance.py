@@ -13,13 +13,13 @@ from oracles import (
     dihedral_permutation_group,
     element_order_multiset,
     matrix_closure_order,
+    remark_rotation_check,
     transposition_pair_orbits,
 )
 
 from hurwitzorbits import presentations as P
 from hurwitzorbits.equalities import (
     conjecture_scan,
-    remark_rotation_check,
     run_check,
 )
 from hurwitzorbits.groups import RealizedGroup

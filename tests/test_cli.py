@@ -299,6 +299,15 @@ def test_scan_g6(capsys):
     assert "# multisets: 9, uniform: 9, counterexample candidates: 0" in out
 
 
+def test_scan_g6_with_capped_rows(capsys):
+    # a capped multiset is neither uniform nor a candidate: exit 0, or 3 with --strict
+    code, out, _ = run(capsys, "scan-g6", "--max-len", "3", "--node-cap", "3")
+    assert code == EXIT_OK
+    assert out.endswith("# multisets: 19, uniform: 12, counterexample candidates: 0\n")
+    code, _, _ = run(capsys, "scan-g6", "--max-len", "3", "--node-cap", "3", "--strict")
+    assert code == EXIT_INCONCLUSIVE
+
+
 def test_reversible_command(capsys):
     code, out, _ = run(capsys, "reversible", "--builtin", "g6")
     assert code == EXIT_OK and out.strip() == "reversible"

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from oracles import coxeter_chain
+from oracles import coxeter_chain, remark_rotation_check
 
 from hurwitzorbits import equalities, hurwitz
 from hurwitzorbits import presentations as P
@@ -20,7 +20,6 @@ from hurwitzorbits.equalities import (
     double_reverse,
     evaluate_tuple,
     flip_inverse,
-    remark_rotation_check,
     reverse_tuple,
     run_check,
     word_tuple_move,
@@ -155,6 +154,15 @@ def test_g4_counterexample(g4_group):
     assert "{a, a, b, b}" in report.candidates
     sizes = {r.permutation: r.orbit_size for r in report.rows}
     assert (sizes["(a, a, b, b)"], sizes["(a, b, a, b)"]) == (36, 27)
+
+
+def test_g4_scan_counts_with_capped_rows(g4_group):
+    # a multiset with a capped row is not uniform, yet two uncapped sizes still make a candidate
+    report = conjecture_scan(g4_group, 4, node_cap=40)
+    assert report.summary() == "multisets: 69, uniform: 48, counterexample candidates: 2"
+    assert report.candidates == ("{a, a, b, b}", "{a^-1, a^-1, b^-1, b^-1}")
+    assert (sum(r.capped for r in report.rows), len(report.rows)) == (196, 340)
+    assert all(r.capped == (r.orbit_size is None) for r in report.rows)
 
 
 @pytest.mark.parametrize(

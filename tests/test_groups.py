@@ -167,12 +167,11 @@ def test_quaternion_matches_presentations(q8_ab_group, q8_ijk_group):
 
 
 def assert_tables_sound(group):
-    """Every memo entry agrees with ``conjugate()``, and an inverse move undoes the forward one."""
+    """Every memo entry is an int equal to ``conjugate()``, and an inverse move undoes the forward one."""
     conj = group.conjugation_tables()
     assert conj
-    for (a, b), (c, d) in conj.items():
-        assert c == group.conjugate(a, b)
-        assert d == group.conjugate(b, group.inverse(a))
+    for (a, b), c in conj.items():
+        assert type(c) is int and c == group.conjugate(a, b)
         # (a, b) -> (b, c) by a forward move, and back by an inverse one
         assert group.conjugate(c, group.inverse(b)) == a
     # the factors the searches met

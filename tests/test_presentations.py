@@ -223,6 +223,24 @@ def test_family_relators_at_the_letter_bound_are_built(monkeypatch):
         P.shephard([2, 2], [6])
 
 
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: P.shephard([2.5, 2], [3]), "generator orders p_i must be in 1.."),
+        (lambda: P.shephard([3.0, 2], [3]), "generator orders p_i must be in 1.."),
+        (lambda: P.shephard([3, 3], [3.0]), "braid lengths q_i must be in 2.."),
+        (lambda: P.coxeter([[1, 3.0], [3.0, 1]]), "Coxeter matrix must be symmetric with m_ij in 2.."),
+        (lambda: P.coxeter([[1, "3"], ["3", 1]]), "Coxeter matrix must be symmetric with m_ij in 2.."),
+    ],
+    ids=["float-p", "integral-float-p", "float-q", "float-m", "str-m"],
+)
+def test_non_integer_family_parameters_are_refused(build, text):
+    # each once escaped the range checks and failed in the builder with a TypeError
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value).startswith(text)
+
+
 def test_builtin_invalid_parameters():
     with pytest.raises(ValueError):
         P.dihedral_rs(0)
